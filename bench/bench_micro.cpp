@@ -15,7 +15,6 @@
 #include "controller/event_codec.hpp"
 #include "netlog/netlog.hpp"
 #include "netsim/flow_table.hpp"
-#include "openflow/codec.hpp"
 #include "openflow/wire10.hpp"
 
 namespace {
@@ -43,32 +42,6 @@ of::PacketIn sample_packet_in(std::uint64_t i) {
   return pin;
 }
 
-void BM_CodecEncodeFlowMod(benchmark::State& state) {
-  std::uint64_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(of::encode({0, sample_flow_mod(i++)}));
-  }
-}
-BENCHMARK(BM_CodecEncodeFlowMod);
-
-void BM_CodecDecodeFlowMod(benchmark::State& state) {
-  const auto bytes = of::encode({0, sample_flow_mod(1)});
-  for (auto _ : state) {
-    auto msg = of::decode(bytes);
-    benchmark::DoNotOptimize(msg);
-  }
-}
-BENCHMARK(BM_CodecDecodeFlowMod);
-
-void BM_CodecRoundTripPacketIn(benchmark::State& state) {
-  std::uint64_t i = 0;
-  for (auto _ : state) {
-    auto msg = of::decode(of::encode({0, sample_packet_in(i++)}));
-    benchmark::DoNotOptimize(msg);
-  }
-}
-BENCHMARK(BM_CodecRoundTripPacketIn);
-
 void BM_Wire10EncodeFlowMod(benchmark::State& state) {
   std::uint64_t i = 0;
   for (auto _ : state) {
@@ -82,7 +55,7 @@ void BM_Wire10RoundTripPacketIn(benchmark::State& state) {
   std::uint64_t i = 0;
   for (auto _ : state) {
     auto bytes = of::wire10::encode({0, sample_packet_in(i++)});
-    auto msg = of::wire10::decode(bytes.value(), DatapathId{1});
+    auto msg = of::wire10::decode(bytes, DatapathId{1});
     benchmark::DoNotOptimize(msg);
   }
 }

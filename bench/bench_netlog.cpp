@@ -4,7 +4,6 @@
 #include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "netlog/netlog.hpp"
-#include "openflow/codec.hpp"
 
 namespace {
 

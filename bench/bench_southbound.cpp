@@ -57,15 +57,6 @@ using namespace legosdn;
 
 constexpr std::uint64_t kAppStallUs = 20; ///< modeled per-event app cost
 
-std::vector<std::uint8_t> enc(const of::Message& msg) {
-  auto r = of::wire10::encode(msg);
-  if (!r.ok()) {
-    std::fprintf(stderr, "encode failed: %s\n", r.error().to_string().c_str());
-    std::abort();
-  }
-  return std::move(r).value();
-}
-
 of::FeaturesReply bench_features(std::uint64_t dpid) {
   of::FeaturesReply fr;
   fr.dpid = DatapathId{dpid};
@@ -113,8 +104,8 @@ public:
       fd_ = -1;
       return;
     }
-    out_ = enc({1, of::Hello{}});
-    pin_frame_ = enc({2, bench_packet_in(dpid_, dpid_)});
+    out_ = of::wire10::encode({1, of::Hello{}});
+    pin_frame_ = of::wire10::encode({2, bench_packet_in(dpid_, dpid_)});
   }
   ~BenchPeer() {
     if (fd_ >= 0) ::close(fd_);
@@ -180,7 +171,7 @@ private:
       // everything else (HELLO, flow-mods, echo with keepalive disabled)
       // is drained and dropped.
       if (in_[off + 1] == 5) {
-        const auto reply = enc({3, bench_features(dpid_)});
+        const auto reply = of::wire10::encode({3, bench_features(dpid_)});
         out_.insert(out_.end(), reply.begin(), reply.end());
       }
       off += total;

@@ -16,11 +16,11 @@
 #                for the sharded parallel event pipeline. Honours
 #                LEGOSDN_SHARD_DIFF_SEEDS (default 10 here: TSan is ~15x
 #                slower and the differential runs at 50 seeds in plain ctest).
-#   socket-tests the loopback-socket suites (southbound epoll server, OF 1.0
-#                wire codec) run directly from a release build. These open
-#                real TCP sockets; the dedicated CI job keeps an EMFILE or
-#                firewalled runner from reading as a logic regression in the
-#                main matrix.
+#   socket-tests the loopback-socket suite (southbound epoll server), run
+#                directly from a release build. It opens real TCP sockets;
+#                the dedicated CI job keeps an EMFILE or firewalled runner
+#                from reading as a logic regression in the main matrix.
+#                (wire10_test opens no sockets; every ctest job runs it.)
 #   bench-smoke  run the JSON-emitting benches (checkpoint, isolation
 #                latency, flow table, netlog, micro, throughput, southbound,
 #                failover) with tiny iteration counts
@@ -83,12 +83,9 @@ cmd_tsan() {
 cmd_socket_tests() {
   local dir="build"
   [ -d build-ci ] && dir="build-ci"
-  cmake --build "$dir" -j "$(nproc)" --target southbound_test wire10_test
-  local t
-  for t in southbound_test wire10_test; do
-    echo "== socket: $t =="
-    "./$dir/tests/$t" --gtest_brief=1
-  done
+  cmake --build "$dir" -j "$(nproc)" --target southbound_test
+  echo "== socket: southbound_test =="
+  "./$dir/tests/southbound_test" --gtest_brief=1
 }
 
 cmd_bench_smoke() {

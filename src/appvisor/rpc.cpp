@@ -1,5 +1,7 @@
 #include "appvisor/rpc.hpp"
 
+#include "openflow/wire10.hpp"
+
 namespace legosdn::appvisor {
 
 std::vector<std::uint8_t> encode_frame(const RpcFrame& f) {
@@ -46,7 +48,7 @@ std::vector<std::uint8_t> encode_event_done(const EventDonePayload& p) {
   ByteWriter w;
   w.u8(p.disposition == ctl::Disposition::kStop ? 1 : 0);
   w.u32(static_cast<std::uint32_t>(p.emitted.size()));
-  for (const auto& m : p.emitted) w.blob(of::encode(m));
+  for (const auto& m : p.emitted) w.blob(of::wire10::encode_framed(m));
   return std::move(w).take();
 }
 
@@ -58,7 +60,7 @@ Result<EventDonePayload> decode_event_done(std::span<const std::uint8_t> bytes) 
   for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
     auto frame = r.blob();
     if (r.error()) break;
-    auto msg = of::decode(frame);
+    auto msg = of::wire10::decode_framed(frame);
     if (!msg) return msg.error();
     p.emitted.push_back(std::move(msg).value());
   }

@@ -16,7 +16,7 @@
 #include "common/result.hpp"
 #include "controller/app.hpp"
 #include "controller/event_codec.hpp"
-#include "openflow/codec.hpp"
+#include "openflow/messages.hpp"
 
 namespace legosdn::appvisor {
 

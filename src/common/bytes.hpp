@@ -4,7 +4,7 @@
 // The writer owns a growable buffer; the reader is a non-owning cursor over a
 // span of bytes. All read operations are bounds-checked and report failure via
 // an error flag rather than throwing, so a truncated or malicious packet can
-// never crash the parser (see tests/openflow/codec_fuzz_test.cpp).
+// never crash the parser (see the decoder fuzz sweeps in tests/wire_test.cpp).
 #pragma once
 
 #include <cstdint>

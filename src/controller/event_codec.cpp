@@ -1,12 +1,12 @@
 #include "controller/event_codec.hpp"
 
-#include "openflow/codec.hpp"
+#include "openflow/wire10.hpp"
 
 namespace legosdn::ctl {
 namespace {
 
-// The OpenFlow alternatives ride on the of:: codec by wrapping them in an
-// of::Message frame; controller-synthesized events get their own tags.
+// The OpenFlow alternatives ride as dpid-framed OF 1.0 frames (wire10);
+// controller-synthesized events get their own tags.
 enum class Tag : std::uint8_t {
   kOfMessage = 0,
   kSwitchUp = 1,
@@ -20,7 +20,7 @@ void encode_event(const Event& e, ByteWriter& w) {
   if (const auto* up = std::get_if<SwitchUp>(&e)) {
     w.u8(static_cast<std::uint8_t>(Tag::kSwitchUp));
     w.u64(raw(up->dpid));
-    w.blob(of::encode({0, up->features}));
+    w.blob(of::wire10::encode_framed({0, up->features}));
     return;
   }
   if (const auto* down = std::get_if<SwitchDown>(&e)) {
@@ -47,7 +47,7 @@ void encode_event(const Event& e, ByteWriter& w) {
                       std::is_same_v<T, of::StatsReply> ||
                       std::is_same_v<T, of::BarrierReply> ||
                       std::is_same_v<T, of::OfError>) {
-          w.blob(of::encode({0, m}));
+          w.blob(of::wire10::encode_framed({0, m}));
         }
       },
       e);
@@ -61,7 +61,7 @@ Result<Event> decode_event(ByteReader& r) {
       up.dpid = DatapathId{r.u64()};
       auto frame = r.blob();
       if (r.error()) return Error{Error::Code::kTruncated, "switch-up truncated"};
-      auto msg = of::decode(frame);
+      auto msg = of::wire10::decode_framed(frame);
       if (!msg) return msg.error();
       const auto* feats = msg.value().get_if<of::FeaturesReply>();
       if (!feats) return Error{Error::Code::kParse, "switch-up without features"};
@@ -85,7 +85,7 @@ Result<Event> decode_event(ByteReader& r) {
     case Tag::kOfMessage: {
       auto frame = r.blob();
       if (r.error()) return Error{Error::Code::kTruncated, "event frame truncated"};
-      auto msg = of::decode(frame);
+      auto msg = of::wire10::decode_framed(frame);
       if (!msg) return msg.error();
       Event out = SwitchDown{}; // placeholder; overwritten below
       bool matched = false;

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
-#include "openflow/codec.hpp"
+#include "openflow/wire10.hpp"
 
 namespace legosdn::lego {
 namespace {
@@ -15,7 +15,7 @@ std::string bundle_fingerprint(const std::vector<of::Message>& emitted) {
   parts.reserve(emitted.size());
   for (of::Message m : emitted) {
     m.xid = 0;
-    auto bytes = of::encode(m);
+    auto bytes = of::wire10::encode_framed(m);
     parts.emplace_back(bytes.begin(), bytes.end());
   }
   std::sort(parts.begin(), parts.end());

@@ -2,7 +2,7 @@
 
 #include "common/log.hpp"
 #include "controller/event_codec.hpp"
-#include "openflow/codec.hpp"
+#include "openflow/wire10.hpp"
 
 namespace legosdn::lego {
 
@@ -19,7 +19,7 @@ void encode_record(const ReplicaRecord& r, ByteWriter& w) {
       w.u64(raw(r.txn.txn));
       w.u32(raw(r.txn.app));
       if (r.txn.kind == netlog::TxnRecord::Kind::kApply)
-        w.blob(of::encode(r.txn.msg));
+        w.blob(of::wire10::encode_framed(r.txn.msg));
       return;
     case ReplicaRecord::Kind::kAppState:
       w.u32(static_cast<std::uint32_t>(r.app_index));
@@ -54,7 +54,7 @@ Result<ReplicaRecord> decode_record(ByteReader& r) {
         const auto frame = r.blob();
         if (r.error())
           return Error{Error::Code::kTruncated, "txn apply truncated"};
-        auto msg = of::decode(frame);
+        auto msg = of::wire10::decode_framed(frame);
         if (!msg) return msg.error();
         out.txn.msg = std::move(msg).value();
       }

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/log.hpp"
-#include "openflow/codec.hpp"
+#include "openflow/wire10.hpp"
 
 namespace legosdn::netlog {
 namespace {
@@ -337,7 +337,7 @@ void NetLog::record_undo(Txn& txn, const of::FlowMod& mod) {
     txn.undo.push_back(std::move(op));
   }
   for (std::size_t i = ops_before; i < txn.undo.size(); ++i)
-    txn.undo_wire_bytes += of::encoded_size(txn.undo[i].inverse);
+    txn.undo_wire_bytes += of::wire10::encoded_size(txn.undo[i].inverse);
   stats_.undo_ops_recorded.fetch_add(txn.undo.size() - ops_before,
                                      std::memory_order_relaxed);
 }

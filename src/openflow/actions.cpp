@@ -15,8 +15,6 @@ enum class ActionTag : std::uint8_t {
   kSetTpDst = 6,
 };
 
-} // namespace
-
 void encode_action(const Action& a, ByteWriter& w) {
   std::visit(
       [&](const auto& act) {
@@ -47,32 +45,11 @@ void encode_action(const Action& a, ByteWriter& w) {
       a);
 }
 
-Action decode_action(ByteReader& r) {
-  switch (static_cast<ActionTag>(r.u8())) {
-    case ActionTag::kOutput: return ActionOutput{PortNo{r.u16()}};
-    case ActionTag::kSetEthSrc: return ActionSetEthSrc{r.mac()};
-    case ActionTag::kSetEthDst: return ActionSetEthDst{r.mac()};
-    case ActionTag::kSetIpSrc: return ActionSetIpSrc{IpV4{r.u32()}};
-    case ActionTag::kSetIpDst: return ActionSetIpDst{IpV4{r.u32()}};
-    case ActionTag::kSetTpSrc: return ActionSetTpSrc{r.u16()};
-    case ActionTag::kSetTpDst: return ActionSetTpDst{r.u16()};
-  }
-  // Unknown tag: treat as a drop (empty output); the reader error flag is the
-  // authoritative failure signal for parse paths that care.
-  return ActionOutput{ports::kNone};
-}
+} // namespace
 
 void encode_actions(const ActionList& list, ByteWriter& w) {
   w.u16(static_cast<std::uint16_t>(list.size()));
   for (const auto& a : list) encode_action(a, w);
-}
-
-ActionList decode_actions(ByteReader& r) {
-  const std::uint16_t n = r.u16();
-  ActionList out;
-  out.reserve(std::min<std::size_t>(n, 64));
-  for (std::uint16_t i = 0; i < n && r.ok(); ++i) out.push_back(decode_action(r));
-  return out;
 }
 
 std::string to_string(const Action& a) {

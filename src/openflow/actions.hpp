@@ -55,11 +55,9 @@ using Action = std::variant<ActionOutput, ActionSetEthSrc, ActionSetEthDst,
 
 using ActionList = std::vector<Action>;
 
-void encode_action(const Action& a, ByteWriter& w);
-Action decode_action(ByteReader& r);
-
+/// Appends a count and every action (the FlowTable digest streams hash
+/// these bytes).
 void encode_actions(const ActionList& list, ByteWriter& w);
-ActionList decode_actions(ByteReader& r);
 
 std::string to_string(const Action& a);
 std::string to_string(const ActionList& list);

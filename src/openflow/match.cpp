@@ -99,23 +99,6 @@ void Match::encode(ByteWriter& w) const {
   w.u16(tp_dst);
 }
 
-Match Match::decode(ByteReader& r) {
-  Match m;
-  m.wildcards = r.u32() & kWcAll;
-  m.in_port = PortNo{r.u16()};
-  m.eth_src = r.mac();
-  m.eth_dst = r.mac();
-  m.eth_type = r.u16();
-  m.ip_src.addr = r.u32();
-  m.ip_dst.addr = r.u32();
-  m.ip_src_prefix = static_cast<std::uint8_t>(r.u8() % 33);
-  m.ip_dst_prefix = static_cast<std::uint8_t>(r.u8() % 33);
-  m.ip_proto = r.u8();
-  m.tp_src = r.u16();
-  m.tp_dst = r.u16();
-  return m;
-}
-
 std::string Match::to_string() const {
   if (wildcards == kWcAll) return "match(*)";
   std::ostringstream os;

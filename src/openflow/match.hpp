@@ -56,8 +56,8 @@ struct Match {
   /// non-strict flow-mod delete/modify semantics (OF 1.0 §4.6).
   bool subsumes(const Match& other) const noexcept;
 
+  /// Appends every field (the FlowTable digest streams hash these bytes).
   void encode(ByteWriter& w) const;
-  static Match decode(ByteReader& r);
 
   std::string to_string() const;
 

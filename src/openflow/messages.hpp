@@ -26,7 +26,6 @@ namespace legosdn::of {
 // ---------------------------------------------------------------------------
 
 struct Hello {
-  std::uint8_t version = 1;
   auto operator<=>(const Hello&) const = default;
 };
 
@@ -89,7 +88,7 @@ struct PacketOut {
   std::uint32_t buffer_id = PacketIn::kNoBuffer;
   PortNo in_port{ports::kNone};
   ActionList actions;
-  Packet packet{}; ///< used when buffer_id == kNoBuffer
+  Packet packet{}; ///< a switch sends its buffered packet instead when buffer_id is set
 
   bool operator==(const PacketOut&) const = default;
 };

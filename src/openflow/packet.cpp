@@ -4,30 +4,6 @@
 
 namespace legosdn::of {
 
-void PacketHeader::encode(ByteWriter& w) const {
-  w.mac(eth_src);
-  w.mac(eth_dst);
-  w.u16(eth_type);
-  w.u32(ip_src.addr);
-  w.u32(ip_dst.addr);
-  w.u8(ip_proto);
-  w.u16(tp_src);
-  w.u16(tp_dst);
-}
-
-PacketHeader PacketHeader::decode(ByteReader& r) {
-  PacketHeader h;
-  h.eth_src = r.mac();
-  h.eth_dst = r.mac();
-  h.eth_type = r.u16();
-  h.ip_src.addr = r.u32();
-  h.ip_dst.addr = r.u32();
-  h.ip_proto = r.u8();
-  h.tp_src = r.u16();
-  h.tp_dst = r.u16();
-  return h;
-}
-
 std::string PacketHeader::to_string() const {
   std::ostringstream os;
   os << eth_src.to_string() << "->" << eth_dst.to_string();
@@ -38,20 +14,6 @@ std::string PacketHeader::to_string() const {
     os << " ethtype=0x" << std::hex << eth_type;
   }
   return os.str();
-}
-
-void Packet::encode(ByteWriter& w) const {
-  hdr.encode(w);
-  w.u32(size_bytes);
-  w.u64(trace_tag);
-}
-
-Packet Packet::decode(ByteReader& r) {
-  Packet p;
-  p.hdr = PacketHeader::decode(r);
-  p.size_bytes = r.u32();
-  p.trace_tag = r.u64();
-  return p;
 }
 
 } // namespace legosdn::of

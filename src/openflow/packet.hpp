@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <string>
 
-#include "common/bytes.hpp"
 #include "common/types.hpp"
 
 namespace legosdn::of {
@@ -36,9 +35,6 @@ struct PacketHeader {
 
   auto operator<=>(const PacketHeader&) const = default;
 
-  void encode(ByteWriter& w) const;
-  static PacketHeader decode(ByteReader& r);
-
   std::string to_string() const;
 };
 
@@ -48,9 +44,6 @@ struct Packet {
   std::uint64_t trace_tag = 0;    ///< opaque id used by tests/benchmarks
 
   auto operator<=>(const Packet&) const = default;
-
-  void encode(ByteWriter& w) const;
-  static Packet decode(ByteReader& r);
 };
 
 } // namespace legosdn::of

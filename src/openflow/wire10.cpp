@@ -1,5 +1,6 @@
 #include "openflow/wire10.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace legosdn::of::wire10 {
@@ -227,20 +228,12 @@ PortDesc get_phy_port(ByteReader& r) {
   return p;
 }
 
-/// Writes the ofp_header with a placeholder length, returns its offset.
+/// Writes the ofp_header with a placeholder length (put_message patches it).
 void put_header(ByteWriter& w, OfpType type, std::uint32_t xid) {
   w.u8(kVersion);
   w.u8(static_cast<std::uint8_t>(type));
-  w.u16(0); // patched at the end
+  w.u16(0);
   w.u32(xid);
-}
-
-std::vector<std::uint8_t> finish(ByteWriter&& w) {
-  auto out = std::move(w).take();
-  const auto len = static_cast<std::uint16_t>(out.size());
-  out[2] = static_cast<std::uint8_t>(len >> 8);
-  out[3] = static_cast<std::uint8_t>(len);
-  return out;
 }
 
 } // namespace
@@ -261,14 +254,21 @@ std::vector<std::uint8_t> synthesize_frame(const Packet& pkt) {
   w.mac(pkt.hdr.eth_src);
   w.u16(pkt.hdr.eth_type);
   if (pkt.hdr.eth_type != kEthTypeIpv4) {
-    // Non-IP frame: trace tag rides as the payload.
+    // Non-IP frame: the trace tag, then the L3/L4 fields a 1.0 match still
+    // sees (LinkDiscovery probes carry their origin there), as the payload.
     w.u64(pkt.trace_tag);
+    w.u32(pkt.hdr.ip_src.addr);
+    w.u32(pkt.hdr.ip_dst.addr);
+    w.u8(pkt.hdr.ip_proto);
+    w.u16(pkt.hdr.tp_src);
+    w.u16(pkt.hdr.tp_dst);
     return std::move(w).take();
   }
   // IPv4 header (20 bytes, no options).
   const bool tcp = pkt.hdr.ip_proto == kIpProtoTcp;
   const bool udp = pkt.hdr.ip_proto == kIpProtoUdp;
-  const std::uint16_t l4 = tcp ? 20 : udp ? 16 : 8; // UDP: 8 hdr + 8 tag
+  // UDP: 8 hdr + 8 tag; other: 8 tag + tp_src + tp_dst.
+  const std::uint16_t l4 = tcp ? 20 : udp ? 16 : 12;
   ByteWriter ip(20);
   ip.u8(0x45);
   ip.u8(0); // tos
@@ -303,28 +303,32 @@ std::vector<std::uint8_t> synthesize_frame(const Packet& pkt) {
     w.u16(0);  // checksum optional in IPv4
     w.u64(pkt.trace_tag);
   } else {
-    w.u64(pkt.trace_tag); // e.g. ICMP: tag as body
+    // e.g. ICMP: the tag and the match's tp fields as body.
+    w.u64(pkt.trace_tag);
+    w.u16(pkt.hdr.tp_src);
+    w.u16(pkt.hdr.tp_dst);
   }
   return std::move(w).take();
 }
 
-Result<Packet> parse_frame(std::span<const std::uint8_t> data,
-                           std::uint16_t total_len_hint) {
+Result<Packet> parse_frame(std::span<const std::uint8_t> data) {
   if (data.size() < 14) return Error{Error::Code::kTruncated, "runt frame"};
   Packet pkt;
   ByteReader r(data);
   pkt.hdr.eth_dst = r.mac();
   pkt.hdr.eth_src = r.mac();
   pkt.hdr.eth_type = r.u16();
-  pkt.size_bytes = total_len_hint ? total_len_hint
-                                  : static_cast<std::uint32_t>(data.size());
+  pkt.size_bytes = static_cast<std::uint32_t>(data.size());
   if (pkt.hdr.eth_type != kEthTypeIpv4) {
-    pkt.hdr.ip_src = IpV4{};
-    pkt.hdr.ip_dst = IpV4{};
     pkt.hdr.ip_proto = 0;
-    pkt.hdr.tp_src = 0;
-    pkt.hdr.tp_dst = 0;
     if (r.remaining() >= 8) pkt.trace_tag = r.u64();
+    if (r.remaining() >= 13) {
+      pkt.hdr.ip_src.addr = r.u32();
+      pkt.hdr.ip_dst.addr = r.u32();
+      pkt.hdr.ip_proto = r.u8();
+      pkt.hdr.tp_src = r.u16();
+      pkt.hdr.tp_dst = r.u16();
+    }
     return pkt;
   }
   if (r.remaining() < 20) return Error{Error::Code::kTruncated, "short IPv4 header"};
@@ -352,14 +356,13 @@ Result<Packet> parse_frame(std::span<const std::uint8_t> data,
     if (r.remaining() >= 8) pkt.trace_tag = r.u64();
   } else if (r.remaining() >= 8) {
     pkt.trace_tag = r.u64();
+    if (r.remaining() >= 4) {
+      pkt.hdr.tp_src = r.u16();
+      pkt.hdr.tp_dst = r.u16();
+    }
   }
   if (r.error()) return Error{Error::Code::kTruncated, "truncated L4"};
   return pkt;
-}
-
-std::size_t frame_length(std::span<const std::uint8_t> buffer) {
-  if (buffer.size() < 4) return 0;
-  return (std::size_t{buffer[2]} << 8) | buffer[3];
 }
 
 FrameStatus peek_frame(std::span<const std::uint8_t> buffer,
@@ -374,12 +377,14 @@ FrameStatus peek_frame(std::span<const std::uint8_t> buffer,
   return FrameStatus::kReady;
 }
 
-Result<std::vector<std::uint8_t>> encode(const Message& msg) {
-  ByteWriter w(64);
-  const std::uint32_t xid = msg.xid;
-  bool unsupported = false;
-  std::string what;
+namespace {
 
+template <typename T> constexpr bool kNoEncoding = false;
+
+/// Appends one OF 1.0 frame for `msg` to `w`.
+void put_message(const Message& msg, ByteWriter& w) {
+  const std::size_t start = w.size();
+  const std::uint32_t xid = msg.xid;
   std::visit(
       [&](const auto& m) {
         using T = std::decay_t<decltype(m)>;
@@ -419,9 +424,14 @@ Result<std::vector<std::uint8_t>> encode(const Message& msg) {
           const auto abytes = std::move(actions).take();
           w.u16(static_cast<std::uint16_t>(abytes.size()));
           w.bytes(abytes);
-          if (m.buffer_id == PacketIn::kNoBuffer) {
-            w.bytes(synthesize_frame(m.packet));
-          }
+          // The frame travels even next to a buffer_id (a switch ignores it
+          // there), zero-padded to size_bytes up to the 16-bit frame length.
+          const auto frame = synthesize_frame(m.packet);
+          w.bytes(frame);
+          const std::size_t pad =
+              std::max<std::size_t>(m.packet.size_bytes, frame.size()) - frame.size();
+          const std::size_t used = std::min(kMaxFrameLen, w.size() - start);
+          w.zeros(std::min(pad, kMaxFrameLen - used));
         } else if constexpr (std::is_same_v<T, FlowMod>) {
           put_header(w, OfpType::kFlowMod, xid);
           put_match(m.match, w);
@@ -537,14 +547,45 @@ Result<std::vector<std::uint8_t>> encode(const Message& msg) {
               reinterpret_cast<const std::uint8_t*>(m.detail.data()),
               m.detail.size()));
         } else {
-          unsupported = true;
-          what = type_name(msg.body);
+          static_assert(kNoEncoding<T>, "every alternative needs an OF 1.0 encoding");
         }
       },
       msg.body);
-  if (unsupported)
-    return Error{Error::Code::kUnsupported, "no OF1.0 encoding for " + what};
-  return finish(std::move(w));
+  w.patch_u16(start + 2, static_cast<std::uint16_t>(w.size() - start));
+}
+
+} // namespace
+
+std::vector<std::uint8_t> encode(const Message& msg) {
+  ByteWriter w(64);
+  put_message(msg, w);
+  return std::move(w).take();
+}
+
+std::vector<std::uint8_t> encode_framed(const Message& msg) {
+  ByteWriter w(72);
+  w.u64(raw(dpid_of(msg.body)));
+  put_message(msg, w);
+  return std::move(w).take();
+}
+
+Result<Message> decode_framed(std::span<const std::uint8_t> bytes) {
+  if (bytes.size() < 8) return Error{Error::Code::kTruncated, "short dpid prefix"};
+  ByteReader r(bytes);
+  const DatapathId dpid{r.u64()};
+  return decode(bytes.subspan(8), dpid);
+}
+
+std::size_t encoded_size(const FlowMod& mod) {
+  // ofp_header + ofp_match + the fixed ofp_flow_mod fields (cookie through
+  // flags), then 16 bytes per set_dl_* action and 8 per other action.
+  std::size_t n = kHeaderLen + kMatchLen + 24;
+  for (const auto& a : mod.actions) {
+    const bool dl = std::holds_alternative<ActionSetEthSrc>(a) ||
+                    std::holds_alternative<ActionSetEthDst>(a);
+    n += dl ? 16 : 8;
+  }
+  return n;
 }
 
 Result<Message> decode(std::span<const std::uint8_t> frame, DatapathId conn_dpid) {
@@ -603,10 +644,10 @@ Result<Message> decode(std::span<const std::uint8_t> frame, DatapathId conn_dpid
       m.in_port = PortNo{r.u16()};
       m.reason = static_cast<PacketInReason>(r.u8() & 1);
       r.skip(1);
-      auto data = r.bytes(r.remaining());
-      auto pkt = parse_frame(data, total_len);
+      auto pkt = parse_frame(frame.subspan(r.position()));
       if (!pkt) return pkt.error();
       m.packet = std::move(pkt).value();
+      m.packet.size_bytes = total_len;
       return finish_msg(std::move(m));
     }
     case OfpType::kPacketOut: {
@@ -620,12 +661,10 @@ Result<Message> decode(std::span<const std::uint8_t> frame, DatapathId conn_dpid
       auto actions = get_actions(r, actions_len);
       if (!actions) return actions.error();
       m.actions = std::move(actions).value();
-      if (m.buffer_id == PacketIn::kNoBuffer && r.remaining() >= 14) {
-        auto pkt = parse_frame(r.bytes(r.remaining()), 0);
+      if (r.remaining() > 0) {
+        auto pkt = parse_frame(frame.subspan(r.position()));
         if (!pkt) return pkt.error();
         m.packet = std::move(pkt).value();
-      } else {
-        r.skip(r.remaining());
       }
       return finish_msg(std::move(m));
     }

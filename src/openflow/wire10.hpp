@@ -1,20 +1,43 @@
-// Real OpenFlow 1.0 wire codec (interoperability layer).
+// OpenFlow 1.0 wire codec: the one byte encoding of of::Message.
 //
-// The rest of the repository speaks a compact internal framing (codec.hpp).
-// This module encodes/decodes the same Message structs in the *actual*
-// OpenFlow 1.0 binary format (openflow.h, wire version 0x01): ofp_header,
-// the 40-byte ofp_match, ofp_flow_mod, ofp_packet_in/out with genuine
-// Ethernet/IPv4/TCP(UDP) frames as payload, ofp_phy_port, flow/port/
-// aggregate statistics, and so on — so captures produced here are readable
-// by standard OpenFlow tooling and vice versa.
+// encode()/decode() speak the actual OpenFlow 1.0 binary format (openflow.h,
+// wire version 0x01): ofp_header, the 40-byte ofp_match, ofp_flow_mod,
+// ofp_packet_in/out with genuine Ethernet/IPv4/TCP(UDP) frames as payload,
+// ofp_phy_port, flow/port/aggregate statistics, and so on — so captures
+// produced here are readable by standard OpenFlow tooling and vice versa.
+// The socket southbound sends these frames as they are.
 //
-// Representability notes (checked by encode, reported as kUnsupported):
-//  - VLAN fields, TOS and port config/state bits have no internal
-//    counterpart; they encode as wildcarded/zero and decode to defaults.
-//  - Packet payloads are synthesized frames: headers are real; the packet's
-//    trace_tag rides in the TCP seq/ack fields (seq = high word, ack = low)
-//    and size_bytes in ofp_packet_in.total_len, so internal round-trips are
-//    lossless while remaining valid frames for external tools.
+// Every other path that turns a Message into bytes (the AppVisor RPC, the
+// event codec, replication records, diversity fingerprints) uses the dpid
+// framing of encode_framed()/decode_framed(): a big-endian u64 datapath id
+// (of::dpid_of) followed by the OF 1.0 frame. A real connection knows its
+// switch; the framing carries that one piece of connection state.
+//
+// Packet payloads are synthesized frames with real headers. The trace_tag
+// rides in the TCP seq/ack fields (seq = high word, ack = low) or as the
+// first 8 payload bytes of any other frame. A frame that is not IPv4 carries
+// ip_src, ip_dst, ip_proto, tp_src and tp_dst after the tag; an IPv4 frame
+// that is neither TCP nor UDP carries tp_src and tp_dst after it. A
+// packet-in's size_bytes rides in ofp_packet_in.total_len; a packet-out
+// always carries its frame (also next to a buffer_id, where switches ignore
+// it), zero-padded to size_bytes.
+//
+// Representability limits — decode(encode(m)) differs from m only here, and
+// no producer in src/ emits any of these:
+//  - a Match IP prefix under a wildcard decodes as /32, and a /0 prefix
+//    decodes as a wildcard (OF 1.0 encodes the prefix as wildcard bits);
+//  - a stats request or reply carries only the section of its kind (the
+//    match of a flow/aggregate request; the flows, ports or aggregate of a
+//    reply);
+//  - port names are truncated to 15 bytes (ofp_phy_port.name is char[16]);
+//  - a packet-in's size_bytes above 0xFFFF is truncated to 16 bits;
+//  - a packet-out's size_bytes below its synthesized frame length (35 to 54
+//    bytes, by frame kind) decodes as that length;
+//  - no frame exceeds 0xFFFF bytes: a packet-out's padding stops there, and
+//    a longer features or stats reply (hundreds of ports or flows) does not
+//    decode;
+//  - VLAN fields, TOS and port config/state bits other than link-down have
+//    no internal counterpart; they encode as wildcarded/zero.
 #pragma once
 
 #include <span>
@@ -57,24 +80,26 @@ enum class OfpType : std::uint8_t {
   kBarrierReply = 19,
 };
 
-/// Encode one message as OpenFlow 1.0 bytes.
+/// Encode one message as OpenFlow 1.0 bytes. Every Message has an encoding.
 ///
 /// Messages that carry a datapath id (flow-mod, packet-in, ...) lose it on
-/// the wire — real OpenFlow scopes messages by connection. encode() appends
-/// no side channel; decode() therefore takes the connection's dpid.
-Result<std::vector<std::uint8_t>> encode(const Message& msg);
+/// the wire — real OpenFlow scopes messages by connection. decode() therefore
+/// takes the connection's dpid.
+std::vector<std::uint8_t> encode(const Message& msg);
 
 /// Decode one OpenFlow 1.0 message. `conn_dpid` identifies the switch this
 /// connection belongs to (fills the dpid fields the wire cannot carry).
 Result<Message> decode(std::span<const std::uint8_t> frame, DatapathId conn_dpid);
 
-/// Peek at a buffer: returns the total length of the first frame if the
-/// header is complete, 0 otherwise. For stream reassembly.
-///
-/// NOTE: this trusts the peer's length field. Stream reassemblers must use
-/// peek_frame() instead — a length below sizeof(ofp_header) would otherwise
-/// wedge or mis-frame the byte stream forever.
-std::size_t frame_length(std::span<const std::uint8_t> buffer);
+/// The internal framing: u64 dpid_of(msg.body) ‖ encode(msg).
+std::vector<std::uint8_t> encode_framed(const Message& msg);
+
+/// Reverse of encode_framed(): the leading dpid is the connection dpid.
+Result<Message> decode_framed(std::span<const std::uint8_t> bytes);
+
+/// encode({xid, mod}).size(), computed without building the frame. NetLog's
+/// undo-byte accounting sizes every recorded inverse on the hot path.
+std::size_t encoded_size(const FlowMod& mod);
 
 /// Stream-reassembly verdict for the bytes at the head of a receive buffer.
 enum class FrameStatus : std::uint8_t {
@@ -97,8 +122,8 @@ FrameStatus peek_frame(std::span<const std::uint8_t> buffer,
 std::vector<std::uint8_t> synthesize_frame(const Packet& pkt);
 /// Parse a frame back (reverse of synthesize_frame; tolerates real-world
 /// frames, filling defaults for anything beyond Ethernet/IPv4/TCP/UDP).
-Result<Packet> parse_frame(std::span<const std::uint8_t> data,
-                           std::uint16_t total_len_hint = 0);
+/// size_bytes is the frame length.
+Result<Packet> parse_frame(std::span<const std::uint8_t> data);
 
 /// RFC 1071 Internet checksum (used for the synthesized IPv4 header).
 std::uint16_t internet_checksum(std::span<const std::uint8_t> data);

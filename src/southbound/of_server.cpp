@@ -297,9 +297,7 @@ void OFServer::mark_dirty(const std::shared_ptr<Conn>& c, bool from_loop_thread)
 }
 
 void OFServer::enqueue_msg(const std::shared_ptr<Conn>& c, const of::Message& msg) {
-  auto bytes = of::wire10::encode(msg);
-  if (!bytes) return; // nothing in the handshake path is unencodable
-  c->io->enqueue(std::span<const std::uint8_t>(bytes.value()));
+  c->io->enqueue(of::wire10::encode(msg));
   mark_dirty(c, /*from_loop_thread=*/true);
 }
 
@@ -356,9 +354,7 @@ bool OFServer::send(DatapathId dpid, const of::Message& msg) {
     return false;
   };
   if (!c || c->io->closed()) return drop();
-  auto bytes = of::wire10::encode(msg);
-  if (!bytes) return drop();
-  if (!c->io->enqueue(std::span<const std::uint8_t>(bytes.value()))) return drop();
+  if (!c->io->enqueue(of::wire10::encode(msg))) return drop();
   {
     std::lock_guard<std::mutex> lk(stats_mu_);
     stats_.sends += 1;

@@ -67,9 +67,7 @@ bool WireSwitchClient::send(const of::Message& msg) {
 }
 
 void WireSwitchClient::enqueue(const of::Message& msg) {
-  auto bytes = of::wire10::encode(msg);
-  if (!bytes) return;
-  conn_->enqueue(std::span<const std::uint8_t>(bytes.value()));
+  conn_->enqueue(of::wire10::encode(msg));
   stats_.frames_out += 1;
 }
 

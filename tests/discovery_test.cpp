@@ -1,5 +1,6 @@
-// LinkDiscovery tests: probe encoding, topology discovery on several shapes,
-// reaction to failures, and bootstrap of the router from discovered links.
+// LinkDiscovery tests: probe encoding, topology discovery on several shapes
+// (in-process and over the OF 1.0 wire), reaction to failures, and bootstrap
+// of the router from discovered links.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,6 +9,7 @@
 #include "apps/shortest_path_router.hpp"
 #include "controller/controller.hpp"
 #include "helpers.hpp"
+#include "southbound/southbound_bridge.hpp"
 
 namespace legosdn::apps {
 namespace {
@@ -35,31 +37,54 @@ TEST(Probe, OrdinaryPacketsAreNotProbes) {
 
 std::size_t expected_bidir_links(const netsim::Network& net) { return net.links().size(); }
 
-class DiscoveryOnTopology : public ::testing::TestWithParam<int> {};
+class DiscoveryOnTopology : public ::testing::TestWithParam<int> {
+protected:
+  std::unique_ptr<netsim::Network> make_net() const {
+    switch (GetParam()) {
+      case 0: return netsim::Network::linear(4, 1);
+      case 1: return netsim::Network::ring(5, 1);
+      case 2: return netsim::Network::star(4, 1);
+      default: return netsim::Network::fat_tree(4);
+    }
+  }
+
+  static void expect_every_link(const netsim::Network& net, const LinkDiscovery& disc) {
+    // Every physical link discovered in both directions.
+    EXPECT_EQ(disc.link_count(), 2 * expected_bidir_links(net));
+    EXPECT_EQ(disc.bidirectional_links().size(), expected_bidir_links(net));
+    // Each discovered link corresponds to a real link.
+    for (const auto& l : disc.links()) {
+      const PortLocator* peer = net.link_peer(l.src);
+      ASSERT_NE(peer, nullptr) << l.src.to_string();
+      EXPECT_EQ(*peer, l.dst);
+    }
+  }
+};
 
 TEST_P(DiscoveryOnTopology, DiscoversEveryLinkBothWays) {
-  std::unique_ptr<netsim::Network> net;
-  switch (GetParam()) {
-    case 0: net = netsim::Network::linear(4, 1); break;
-    case 1: net = netsim::Network::ring(5, 1); break;
-    case 2: net = netsim::Network::star(4, 1); break;
-    default: net = netsim::Network::fat_tree(4); break;
-  }
+  auto net = make_net();
   ctl::Controller c(*net);
   auto disc = std::make_shared<LinkDiscovery>();
   c.register_app(disc);
   c.start();
   while (c.run() > 0) {
   }
-  // Every physical link discovered in both directions.
-  EXPECT_EQ(disc->link_count(), 2 * expected_bidir_links(*net));
-  EXPECT_EQ(disc->bidirectional_links().size(), expected_bidir_links(*net));
-  // Each discovered link corresponds to a real link.
-  for (const auto& l : disc->links()) {
-    const PortLocator* peer = net->link_peer(l.src);
-    ASSERT_NE(peer, nullptr) << l.src.to_string();
-    EXPECT_EQ(*peer, l.dst);
-  }
+  expect_every_link(*net, *disc);
+}
+
+// Over real sockets a probe crosses the OF 1.0 wire twice (packet-out, then
+// packet-in), so the origin it carries in non-IPv4 L3/L4 fields must survive
+// frame synthesis both ways.
+TEST_P(DiscoveryOnTopology, DiscoversEveryLinkOverTheWire) {
+  auto net = make_net();
+  ctl::Controller c(*net);
+  auto disc = std::make_shared<LinkDiscovery>();
+  c.register_app(disc);
+  southbound::SouthboundBridge bridge(*net, c);
+  ASSERT_TRUE(bridge.start().ok());
+  c.start();
+  bridge.settle();
+  expect_every_link(*net, *disc);
 }
 
 INSTANTIATE_TEST_SUITE_P(Topologies, DiscoveryOnTopology, ::testing::Values(0, 1, 2, 3));

@@ -119,14 +119,22 @@ public:
     return out;
   }
 
+  /// IPv4 (TCP, UDP or any other protocol), ARP or LLDP-type; every field
+  /// random, including the L3/L4 fields of non-IPv4 frames.
   of::PacketHeader random_header() {
+    static constexpr std::uint16_t kEthTypeLldp = 0x88CC;
     of::PacketHeader h;
     h.eth_src = MacAddress::from_uint64(rng_.below(1 << 16));
     h.eth_dst = MacAddress::from_uint64(rng_.below(1 << 16));
-    h.eth_type = rng_.chance(0.9) ? of::kEthTypeIpv4 : of::kEthTypeArp;
+    h.eth_type = rng_.chance(0.8)   ? of::kEthTypeIpv4
+                 : rng_.chance(0.5) ? of::kEthTypeArp
+                                    : kEthTypeLldp;
     h.ip_src = IpV4{static_cast<std::uint32_t>(rng_.next())};
     h.ip_dst = IpV4{static_cast<std::uint32_t>(rng_.next())};
-    h.ip_proto = static_cast<std::uint8_t>(rng_.below(256));
+    const std::uint64_t proto = rng_.below(3);
+    h.ip_proto = proto == 0   ? of::kIpProtoTcp
+                 : proto == 1 ? of::kIpProtoUdp
+                              : static_cast<std::uint8_t>(rng_.below(256));
     h.tp_src = static_cast<std::uint16_t>(rng_.below(65536));
     h.tp_dst = static_cast<std::uint16_t>(rng_.below(65536));
     return h;
@@ -202,6 +210,8 @@ inline of::Message MessageGen::random_message() {
       po.in_port = PortNo{static_cast<std::uint16_t>(rng_.below(48) + 1)};
       po.actions = random_actions();
       po.packet.hdr = random_header();
+      po.packet.size_bytes = static_cast<std::uint32_t>(rng_.below(1500) + 64);
+      po.packet.trace_tag = rng_.next();
       msg.body = std::move(po);
       break;
     }
@@ -278,6 +288,53 @@ inline of::Message MessageGen::random_message() {
       break;
     }
   }
+  return msg;
+}
+
+/// What of::wire10 decodes from `msg`: rewrites the three things OF 1.0
+/// cannot carry and no producer emits. Everything else must round-trip.
+inline of::Message canonicalize(of::Message msg) {
+  // A wildcarded IP field carries no prefix on the wire, and /0 is a full
+  // wildcard: normalize both to the form decode() produces.
+  auto fix_match = [](of::Match& m) {
+    if (m.wildcarded(of::kWcIpSrc) || m.ip_src_prefix == 0) {
+      m.wildcards |= of::kWcIpSrc;
+      m.ip_src_prefix = 32;
+    }
+    if (m.wildcarded(of::kWcIpDst) || m.ip_dst_prefix == 0) {
+      m.wildcards |= of::kWcIpDst;
+      m.ip_dst_prefix = 32;
+    }
+  };
+  // ofp_phy_port.name is char[16], NUL-terminated.
+  auto fix_port = [](of::PortDesc& p) {
+    if (p.name.size() > 15) p.name.resize(15);
+  };
+  std::visit(
+      [&](auto& m) {
+        using T = std::decay_t<decltype(m)>;
+        if constexpr (std::is_same_v<T, of::FlowMod> ||
+                      std::is_same_v<T, of::FlowRemoved>) {
+          fix_match(m.match);
+        } else if constexpr (std::is_same_v<T, of::StatsRequest>) {
+          // The wire carries only the active section of the stats union.
+          if (m.kind == of::StatsKind::kPort) {
+            m.match = of::Match{};
+          } else {
+            fix_match(m.match);
+          }
+        } else if constexpr (std::is_same_v<T, of::StatsReply>) {
+          if (m.kind != of::StatsKind::kFlow) m.flows.clear();
+          if (m.kind != of::StatsKind::kPort) m.ports.clear();
+          if (m.kind != of::StatsKind::kAggregate) m.aggregate = {};
+          for (auto& f : m.flows) fix_match(f.match);
+        } else if constexpr (std::is_same_v<T, of::FeaturesReply>) {
+          for (auto& p : m.ports) fix_port(p);
+        } else if constexpr (std::is_same_v<T, of::PortStatus>) {
+          fix_port(m.desc);
+        }
+      },
+      msg.body);
   return msg;
 }
 

@@ -27,17 +27,12 @@ namespace legosdn::southbound {
 namespace {
 
 using namespace std::chrono;
-
-std::vector<std::uint8_t> enc(const of::Message& msg) {
-  auto r = of::wire10::encode(msg);
-  EXPECT_TRUE(r.ok());
-  return r.ok() ? r.value() : std::vector<std::uint8_t>{};
-}
+namespace wire10 = of::wire10;
 
 /// The exact message the receiving side will see: encode + decode, so
 /// comparisons are immune to canonicalization (wildcard normalization, ...).
 of::Message round_trip(const of::Message& msg, DatapathId dpid) {
-  auto decoded = of::wire10::decode(enc(msg), dpid);
+  auto decoded = wire10::decode(wire10::encode(msg), dpid);
   EXPECT_TRUE(decoded.ok());
   return decoded.ok() ? std::move(decoded).value() : of::Message{};
 }
@@ -139,7 +134,7 @@ public:
     const auto hello = recv_frame(srv);
     if (hello.size() < 8 || hello[1] != 0)
       return testing::AssertionFailure() << "no server HELLO";
-    if (!send_all(enc({1, of::Hello{}}), srv))
+    if (!send_all(wire10::encode({1, of::Hello{}}), srv))
       return testing::AssertionFailure() << "HELLO send failed";
     const auto freq = recv_frame(srv);
     if (freq.size() < 8 || freq[1] != 5)
@@ -147,7 +142,7 @@ public:
     const std::uint32_t xid = (std::uint32_t{freq[4]} << 24) |
                               (std::uint32_t{freq[5]} << 16) |
                               (std::uint32_t{freq[6]} << 8) | freq[7];
-    if (!send_all(enc({xid, features}), srv))
+    if (!send_all(wire10::encode({xid, features}), srv))
       return testing::AssertionFailure() << "FEATURES_REPLY send failed";
     const auto deadline = steady_clock::now() + seconds(2);
     while (!srv.knows(features.dpid)) {
@@ -267,7 +262,7 @@ TEST(OFServer, OneByteTrickleReassembly) {
   ASSERT_TRUE(peer.handshake(fx.server, test_features(3)));
 
   const of::Message msg{0x42, sample_packet_in(3, 8080)};
-  const auto frame = enc(msg);
+  const auto frame = wire10::encode(msg);
   for (const std::uint8_t b : frame) {
     ASSERT_TRUE(peer.send_all(std::span<const std::uint8_t>(&b, 1), fx.server));
     fx.server.poll(0);
@@ -288,7 +283,7 @@ TEST(OFServer, SplitExactlyAtHeaderBoundary) {
   ASSERT_TRUE(peer.handshake(fx.server, test_features(4)));
 
   const of::Message msg{7, sample_packet_in(4, 443)};
-  const auto frame = enc(msg);
+  const auto frame = wire10::encode(msg);
   ASSERT_GT(frame.size(), of::wire10::kHeaderLen);
   // The full header arrives alone: the server knows the length but must not
   // emit anything until the body lands.
@@ -315,8 +310,8 @@ TEST(OFServer, TwoFramesInOneWriteBothDelivered) {
 
   const of::Message m1{1, sample_packet_in(5, 80)};
   const of::Message m2{2, sample_packet_in(5, 443)};
-  auto batch = enc(m1);
-  const auto f2 = enc(m2);
+  auto batch = wire10::encode(m1);
+  const auto f2 = wire10::encode(m2);
   batch.insert(batch.end(), f2.begin(), f2.end());
   ASSERT_TRUE(peer.send_all(batch, fx.server));
 
@@ -352,7 +347,7 @@ TEST(OFServer, ReadPassDeliversMultiFrameBatch) {
   // Three frames in one write: one read pass, one batch.
   std::vector<std::uint8_t> wire;
   for (std::uint16_t tp : {80, 443, 22}) {
-    const auto f = enc({tp, sample_packet_in(11, tp)});
+    const auto f = wire10::encode({tp, sample_packet_in(11, tp)});
     wire.insert(wire.end(), f.begin(), f.end());
   }
   ASSERT_TRUE(peer.send_all(wire, server));
@@ -439,7 +434,7 @@ TEST(OFServer, SpeakingBeforeHelloIsAProtocolError) {
   ASSERT_TRUE(peer.connected());
   (void)peer.recv_frame(fx.server); // server HELLO
   // A packet-in before our HELLO: valid frame, wrong state.
-  ASSERT_TRUE(peer.send_all(enc({1, sample_packet_in(1, 80)}), fx.server));
+  ASSERT_TRUE(peer.send_all(wire10::encode({1, sample_packet_in(1, 80)}), fx.server));
   const auto deadline = steady_clock::now() + seconds(2);
   while (fx.server.connections() > 0 && steady_clock::now() < deadline)
     fx.server.poll(1);
@@ -456,7 +451,7 @@ TEST(OFServer, UnknownTypeCountedStreamSurvives) {
   // Well-framed but unknown type byte: count it, keep the connection.
   const std::uint8_t unknown[] = {0x01, 0x63, 0x00, 0x08, 0, 0, 0, 9};
   ASSERT_TRUE(peer.send_all(unknown, fx.server));
-  ASSERT_TRUE(peer.send_all(enc({3, sample_packet_in(6, 22)}), fx.server));
+  ASSERT_TRUE(peer.send_all(wire10::encode({3, sample_packet_in(6, 22)}), fx.server));
 
   const auto deadline = steady_clock::now() + seconds(2);
   while (fx.events.size() < 2 && steady_clock::now() < deadline) fx.server.poll(1);
@@ -545,7 +540,7 @@ TEST(OFServer, WatermarkPausesReadsOnSaturatedPeerThenResumes) {
   EXPECT_GE(fx.server.stats().reads_resumed, 1u);
 
   // Prove EPOLLIN is really back: an echo round-trip.
-  ASSERT_TRUE(peer.send_all(enc({99, of::EchoRequest{0xABCD}}), fx.server));
+  ASSERT_TRUE(peer.send_all(wire10::encode({99, of::EchoRequest{0xABCD}}), fx.server));
   const auto reply = peer.recv_frame(fx.server);
   ASSERT_EQ(reply.size(), 16u);
   EXPECT_EQ(reply[1], 3) << "expected ECHO_REPLY";

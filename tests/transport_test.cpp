@@ -14,6 +14,7 @@
 #include "apps/hub.hpp"
 #include "common/rng.hpp"
 #include "helpers.hpp"
+#include "openflow/wire10.hpp"
 
 namespace legosdn::appvisor {
 namespace {
@@ -231,7 +232,7 @@ TEST(LossyRpc, ExchangesCompleteOrTimeOutCleanlyUnderLoss) {
   reference.handle_event(ctl::Event{sample_packet_in()}, ref_api);
   const auto expected = std::move(ref_api).take();
   ASSERT_EQ(expected.size(), 1u);
-  const auto expected_wire = of::encode(expected[0]);
+  const auto expected_wire = of::wire10::encode(expected[0]);
 
   constexpr int kExchanges = 1000;
   int ok = 0, timeouts = 0;
@@ -248,7 +249,7 @@ TEST(LossyRpc, ExchangesCompleteOrTimeOutCleanlyUnderLoss) {
       ASSERT_NE(po, nullptr) << "exchange " << i;
       ASSERT_TRUE(*po == *expected[0].get_if<of::PacketOut>())
           << "exchange " << i << ": reply body corrupted in transit";
-      ASSERT_EQ(of::encode(out.emitted[0]).size(), expected_wire.size());
+      ASSERT_EQ(of::wire10::encode(out.emitted[0]).size(), expected_wire.size());
     } else {
       // A clean timeout is acceptable under loss; a crash is not — the hub
       // never crashes, so kCrashed would mean the transport misclassified a

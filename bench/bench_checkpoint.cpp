@@ -42,8 +42,8 @@ ctl::Event make_packet_in(std::uint64_t i) {
 
 struct PipelineRow {
   std::size_t state_bytes = 0;
-  Summary sync_us;        ///< event-path cost, inline full encode
-  Summary async_us;       ///< event-path cost, capture + handoff
+  Histogram sync_us;  ///< event-path cost, inline full encode
+  Histogram async_us; ///< event-path cost, capture + handoff
   double encode_lag_p50_us = 0;
   std::uint64_t fulls = 0;
   std::uint64_t deltas = 0;
@@ -86,7 +86,7 @@ PipelineRow run_pipeline(std::size_t state_bytes, bool async, int events,
   d.start();
 
   const auto think = std::chrono::microseconds(state_bytes / 1024);
-  Summary& on_path = async ? row.async_us : row.sync_us;
+  Histogram& on_path = async ? row.async_us : row.sync_us;
   for (int i = 0; i < events; ++i) {
     bench::Stopwatch sw;
     sw.start();
@@ -137,7 +137,7 @@ int main() {
     if (bench::smoke()) sizes = {std::size_t{1} << 10, std::size_t{1} << 17};
     for (const std::size_t size : sizes) {
       // In-process.
-      Summary inproc;
+      Histogram inproc;
       {
         appvisor::InProcessDomain d(std::make_shared<apps::StatefulApp>(size));
         d.start();
@@ -150,7 +150,7 @@ int main() {
         }
       }
       // Across the process boundary.
-      Summary proc;
+      Histogram proc;
       {
         appvisor::ProcessDomain d(std::make_shared<apps::StatefulApp>(size));
         if (!d.start()) return 1;
@@ -189,7 +189,7 @@ int main() {
       std::uint64_t snapshots = 0;
       double snap_cost_total_us = 0;
       std::vector<ctl::Event> since_checkpoint;
-      Summary recovery_us;
+      Histogram recovery_us;
       std::uint64_t replayed = 0;
       std::uint64_t crashes = 0;
       for (int i = 0; i < kEvents; ++i) {

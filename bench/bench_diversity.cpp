@@ -78,7 +78,7 @@ int main() {
     bench::Table table({"configuration", "per-event (us, p50)", "relative"});
     double base = 0;
     for (const std::size_t n : {1u, 3u, 5u, 7u}) {
-      Summary us;
+      Histogram us;
       if (n == 1) {
         auto d = healthy();
         d->start();

@@ -155,9 +155,9 @@ void install(TableT& table, const std::vector<of::FlowMod>& rules) {
 /// p50/p95 ns per lookup, sampled per batch (one batch = the whole query
 /// stream) so a sample amortizes clock overhead across thousands of calls.
 template <class TableT>
-Summary time_lookups(TableT& table, const std::vector<Query>& queries, int samples,
-                     std::uint64_t& hits) {
-  Summary ns_per_lookup;
+Histogram time_lookups(TableT& table, const std::vector<Query>& queries, int samples,
+                       std::uint64_t& hits) {
+  Histogram ns_per_lookup;
   for (int s = 0; s < samples; ++s) {
     bench::Stopwatch sw;
     sw.start();

@@ -41,7 +41,7 @@ ctl::Event make_packet_in(std::uint64_t i) {
 
 struct LatencyRow {
   std::string path;
-  Summary us;
+  Histogram us;
 };
 
 } // namespace
@@ -154,7 +154,7 @@ int main() {
   bench::section("loss sweep: deliver RPC under drop+dup+reorder (seeded)");
   struct LossRow {
     double loss;
-    Summary us;
+    Histogram us;
     std::uint64_t retransmits = 0;
     std::uint64_t flakes_recovered = 0;
     std::uint64_t timeouts = 0;

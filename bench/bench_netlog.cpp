@@ -48,7 +48,7 @@ int main() {
       auto net = netsim::Network::linear(kSwitches, 1);
       netlog::NetLog log(*net, {mode, /*barrier_on_commit=*/false});
       Rng rng(7);
-      Summary commit_us, rollback_us;
+      Histogram commit_us, rollback_us;
       bench::Stopwatch total;
       double committed_wall_us = 0;
       for (int t = 0; t < kTxns; ++t) {

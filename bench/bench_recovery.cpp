@@ -61,7 +61,7 @@ PolicyRun run_policy(const std::string& policy, appvisor::Backend backend) {
   pump(0, 2, 80);
   pump(2, 0, 80);
 
-  Summary recovery;
+  Histogram recovery;
   constexpr int kCrashes = 10;
   for (int i = 0; i < kCrashes; ++i) {
     bench::Stopwatch sw;

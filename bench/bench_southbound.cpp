@@ -227,7 +227,7 @@ HandshakeResult handshake_storm(southbound::OFServer& srv, std::uint16_t port,
 
 struct Cell {
   double events_per_sec = 0;
-  Summary lat;
+  Histogram lat;
   std::uint64_t batches = 0;
   double events_per_batch_p50 = 0;
   double events_per_batch_max = 0;
@@ -245,8 +245,7 @@ Cell steady_state(southbound::OFServer& srv,
                   std::size_t shards, std::uint64_t total_events) {
   std::atomic<std::uint64_t> completed{0};
   ctl::ShardedDispatcher dispatcher(
-      {.shards = shards, .measure_latency = true},
-      [&completed](ctl::Event, std::size_t) {
+      {.shards = shards}, [&completed](ctl::Event, std::size_t) {
         std::this_thread::sleep_for(std::chrono::microseconds(kAppStallUs));
         completed.fetch_add(1, std::memory_order_relaxed);
       });

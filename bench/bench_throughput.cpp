@@ -139,7 +139,7 @@ struct Workload {
 
 struct Cell {
   double events_per_sec = 0;
-  Summary lat; ///< per-event completion latency (us)
+  Histogram lat; ///< per-event completion latency (us)
   // Batching counters (sharded rows only; zero on the serial row).
   std::uint64_t batches = 0;
   double events_per_batch_p50 = 0;
@@ -197,7 +197,7 @@ Cell run_cell(const Workload& w, std::size_t shards, std::size_t events,
                           : ctl::ShardedDispatcher::Stats{};
   const auto warm_nl = c.netlog().stats();
 
-  Summary serial_lat;
+  Histogram serial_lat;
   bench::Stopwatch total;
   total.start();
   if (shards <= 1) {

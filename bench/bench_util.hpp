@@ -134,7 +134,7 @@ private:
 /// these exact keys; keeping them in one place stops per-bench key drift
 /// that downstream parsers (scripts/check_bench.py, trajectory plots) would
 /// otherwise have to chase.
-inline Json& latency_kv(Json& j, const Summary& s, bool with_mean = false) {
+inline Json& latency_kv(Json& j, const Histogram& s, bool with_mean = false) {
   j.kv("p50_us", s.percentile(50));
   j.kv("p95_us", s.percentile(95));
   j.kv("p99_us", s.percentile(99));
@@ -144,7 +144,7 @@ inline Json& latency_kv(Json& j, const Summary& s, bool with_mean = false) {
 
 /// The matching Table cells: {p50, p95, p99[, mean]} formatted like every
 /// other latency column. Splice into a row next to the bench's own cells.
-inline std::vector<std::string> latency_cells(const Summary& s,
+inline std::vector<std::string> latency_cells(const Histogram& s,
                                               bool with_mean = false) {
   std::vector<std::string> cells{fmt(s.percentile(50)), fmt(s.percentile(95)),
                                  fmt(s.percentile(99))};

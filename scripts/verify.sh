@@ -29,6 +29,12 @@
 #                them with scripts/check_bench.py against the committed
 #                BENCH_*.json baselines (order-of-magnitude floor on
 #                headline speedups).
+#   perfbench-build
+#                configure and build perfbench/ (the flow-setup benchmark
+#                BENCHMARK.json runs; it compiles ../src) into
+#                build-perfbench/ without running it, so a src/ API change
+#                that breaks the benchmark fails here. Honours
+#                CMAKE_CXX_COMPILER_LAUNCHER like `build`.
 #   fuzz-smoke   run the differential scenario fuzzer over a reduced seed
 #                batch (LEGOSDN_FUZZ_SCRIPTS, default 20): every generated
 #                churn script must converge identically under LegoSDN-with-
@@ -103,6 +109,12 @@ cmd_bench_smoke() {
   python3 scripts/check_bench.py bench-out --baseline-dir .
 }
 
+cmd_perfbench_build() {
+  cmake -B build-perfbench -S perfbench -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    ${CMAKE_CXX_COMPILER_LAUNCHER:+-DCMAKE_CXX_COMPILER_LAUNCHER="$CMAKE_CXX_COMPILER_LAUNCHER"}
+  cmake --build build-perfbench -j "$(nproc)" --target perfbench
+}
+
 cmd_fuzz_smoke() {
   local dir="build"
   [ -d build-ci ] && dir="build-ci"
@@ -127,6 +139,7 @@ case "${1:-all}" in
   tsan)         cmd_tsan ;;
   socket-tests) cmd_socket_tests ;;
   bench-smoke)  cmd_bench_smoke ;;
+  perfbench-build) cmd_perfbench_build ;;
   fuzz-smoke)   cmd_fuzz_smoke ;;
   format)       cmd_format ;;
   all)
@@ -136,7 +149,7 @@ case "${1:-all}" in
     fi
     ;;
   *)
-    echo "unknown command: $1 (expected build|asan|tsan|socket-tests|bench-smoke|fuzz-smoke|format)" >&2
+    echo "unknown command: $1 (expected build|asan|tsan|socket-tests|bench-smoke|perfbench-build|fuzz-smoke|format)" >&2
     exit 2
     ;;
 esac

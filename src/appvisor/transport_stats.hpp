@@ -42,7 +42,7 @@ struct TransportStats {
   std::uint64_t retransmits = 0;        ///< request frames re-sent after a silent attempt
   std::uint64_t flakes_recovered = 0;   ///< calls that succeeded after >=1 retransmit
   std::uint64_t rpc_timeouts = 0;       ///< calls that exhausted the overall deadline
-  LatencyHistogram rtt_us;              ///< request send -> matching reply
+  Histogram rtt_us;                     ///< request send -> matching reply
 
   TransportStats& operator+=(const TransportStats& o) {
     channel += o.channel;

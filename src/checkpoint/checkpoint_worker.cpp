@@ -1,36 +1,20 @@
 #include "checkpoint/checkpoint_worker.hpp"
 
-#include <functional>
-
 namespace legosdn::checkpoint {
 
 CheckpointWorker::CheckpointWorker(SnapshotStore& store, Config cfg)
     : store_(store), cfg_(cfg) {
   if (cfg_.max_queue == 0) cfg_.max_queue = 1;
-  if (cfg_.shards == 0) cfg_.shards = 1;
-  shards_.reserve(cfg_.shards);
-  for (std::size_t i = 0; i < cfg_.shards; ++i)
-    shards_.push_back(std::make_unique<Shard>());
-  if (cfg_.async) {
-    for (auto& sh : shards_) sh->thread = std::thread([this, s = sh.get()] { run(*s); });
-  }
+  if (cfg_.async) thread_ = std::thread([this] { run(); });
 }
 
 CheckpointWorker::~CheckpointWorker() {
-  for (auto& sh : shards_) {
-    {
-      std::lock_guard lock(sh->mu);
-      sh->stop = true;
-    }
-    sh->work_cv.notify_all();
+  {
+    std::lock_guard lock(mu_);
+    stop_ = true;
   }
-  for (auto& sh : shards_) {
-    if (sh->thread.joinable()) sh->thread.join();
-  }
-}
-
-CheckpointWorker::Shard& CheckpointWorker::shard_for(AppId app) noexcept {
-  return *shards_[std::hash<AppId>{}(app) % shards_.size()];
+  work_cv_.notify_all();
+  if (thread_.joinable()) thread_.join();
 }
 
 void CheckpointWorker::submit(AppId app, std::uint64_t event_seq,
@@ -46,49 +30,47 @@ void CheckpointWorker::submit(AppId app, std::uint64_t event_seq,
     encode_and_store(std::move(job), /*via_queue=*/false);
     return;
   }
-  Shard& shard = shard_for(app);
   bool backpressure = false;
   {
-    std::lock_guard lock(shard.mu);
-    if (shard.queue.size() < cfg_.max_queue) {
-      shard.queue.push_back(std::move(job));
+    std::lock_guard lock(mu_);
+    if (queue_.size() < cfg_.max_queue) {
+      queue_.push_back(std::move(job));
     } else {
       backpressure = true;
     }
   }
   if (!backpressure) {
-    shard.work_cv.notify_one();
+    work_cv_.notify_one();
     return;
   }
   {
     std::lock_guard lock(stats_mu_);
     stats_.inline_encodes += 1;
   }
-  // Shard queue full: encoding inline would race the shard thread for this
-  // app's chain tail, so drain this shard first — the hot path pays for the
-  // backlog, which is exactly what backpressure means. Other shards keep
-  // running untouched.
-  flush_shard(shard);
+  // Queue full: encoding inline would race the worker thread for this
+  // app's chain tail, so drain the queue first — the hot path pays for the
+  // backlog, which is exactly what backpressure means.
+  flush();
   encode_and_store(std::move(job), /*via_queue=*/false);
 }
 
-void CheckpointWorker::run(Shard& shard) {
+void CheckpointWorker::run() {
   for (;;) {
     Job job;
     {
-      std::unique_lock lock(shard.mu);
-      shard.work_cv.wait(lock, [&shard] { return shard.stop || !shard.queue.empty(); });
-      if (shard.queue.empty()) return; // stop && drained
-      job = std::move(shard.queue.front());
-      shard.queue.pop_front();
-      shard.active += 1;
+      std::unique_lock lock(mu_);
+      work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+      if (queue_.empty()) return; // stop && drained
+      job = std::move(queue_.front());
+      queue_.pop_front();
+      active_ += 1;
     }
     encode_and_store(std::move(job), /*via_queue=*/true);
     {
-      std::lock_guard lock(shard.mu);
-      shard.active -= 1;
+      std::lock_guard lock(mu_);
+      active_ -= 1;
     }
-    shard.drain_cv.notify_all();
+    drain_cv_.notify_all();
   }
 }
 
@@ -127,22 +109,14 @@ void CheckpointWorker::encode_and_store(Job job, bool via_queue) {
   stats_.encode_lag_us.add(lag_us);
 }
 
-void CheckpointWorker::flush_shard(Shard& shard) {
-  std::unique_lock lock(shard.mu);
-  shard.drain_cv.wait(lock, [&shard] { return shard.queue.empty() && shard.active == 0; });
-}
-
 void CheckpointWorker::flush() {
-  for (auto& sh : shards_) flush_shard(*sh);
+  std::unique_lock lock(mu_);
+  drain_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
 }
 
 std::size_t CheckpointWorker::in_flight() const {
-  std::size_t n = 0;
-  for (const auto& sh : shards_) {
-    std::lock_guard lock(sh->mu);
-    n += sh->queue.size() + sh->active;
-  }
-  return n;
+  std::lock_guard lock(mu_);
+  return queue_.size() + active_;
 }
 
 CheckpointWorker::Stats CheckpointWorker::stats() const {

@@ -5,20 +5,17 @@
 // chunk-hashes, delta-diffs, (optionally) compresses, and inserts into the
 // SnapshotStore on a background thread.
 //
-// The pool is sharded by AppId hash: each shard is a FIFO queue with its own
-// thread, and an app always lands on the same shard. Per-app ordering is the
-// only requirement the store's delta chains impose — every delta is diffed
-// against the snapshot encoded immediately before it — and pinning an app to
-// one FIFO preserves it while different apps' encodes proceed in parallel
-// (ROADMAP "worker sharding"). shards=1 degenerates to the original single
-// FIFO worker.
+// One FIFO queue drained by one thread. Per-app ordering is the only
+// requirement the store's delta chains impose — every delta is diffed
+// against the snapshot encoded immediately before it — and the FIFO
+// preserves it.
 //
-// Backpressure: each shard's queue is bounded; when it is full the submit
-// drains *that shard* and then encodes inline on the caller's thread instead
-// of blocking or dropping (a checkpoint is never lost, the hot path just
-// temporarily degrades to the synchronous cost — `stats().inline_encodes`
-// counts how often). Draining the shard first keeps the app's chain ordered:
-// the inline encode cannot overtake a queued older capture of the same app.
+// Backpressure: the queue is bounded; when it is full the submit drains the
+// queue and then encodes inline on the caller's thread instead of blocking
+// or dropping (a checkpoint is never lost, the hot path just temporarily
+// degrades to the synchronous cost — `stats().inline_encodes` counts how
+// often). Draining first keeps the app's chain ordered: the inline encode
+// cannot overtake a queued older capture of the same app.
 //
 // Sync mode (Config::async = false) encodes every submit inline; it exists
 // so benches and determinism tests can run the identical codec path with and
@@ -29,10 +26,8 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <vector>
 
 #include "checkpoint/snapshot_store.hpp"
 #include "common/stats.hpp"
@@ -43,16 +38,11 @@ class CheckpointWorker {
 public:
   struct Config {
     bool async = true;
-    /// Per-shard queue depth beyond which submits encode inline
-    /// (backpressure).
+    /// Queue depth beyond which submits encode inline (backpressure).
     std::size_t max_queue = 64;
     /// Artificial per-encode delay, for tests that need a snapshot to be
     /// observably "in flight" when a crash hits.
     std::chrono::microseconds encode_delay{0};
-    /// Encode threads (async mode). Apps are routed by AppId hash, so
-    /// raising this parallelizes multi-app portfolios without reordering
-    /// any single app's delta chain.
-    std::size_t shards = 1;
   };
 
   struct Stats {
@@ -66,7 +56,7 @@ public:
     std::uint64_t stored_bytes = 0; ///< encoded bytes handed to the store
     /// Time from submit to the snapshot landing in the store. In sync mode
     /// this is just the encode cost; in async mode it includes queue wait.
-    LatencyHistogram encode_lag_us;
+    Histogram encode_lag_us;
   };
 
   CheckpointWorker(SnapshotStore& store, Config cfg);
@@ -86,8 +76,6 @@ public:
   /// Snapshots submitted but not yet stored (0 in sync mode).
   std::size_t in_flight() const;
 
-  std::size_t shard_count() const noexcept { return shards_.size(); }
-
   Stats stats() const;
 
 private:
@@ -99,21 +87,7 @@ private:
     std::chrono::steady_clock::time_point submitted_at;
   };
 
-  /// One FIFO lane: queue + thread + its own synchronization, so shards
-  /// never contend with each other — only the shared stats do.
-  struct Shard {
-    mutable std::mutex mu;
-    std::condition_variable work_cv;  ///< signals the worker: job or stop
-    std::condition_variable drain_cv; ///< signals flush(): queue drained
-    std::deque<Job> queue;
-    std::size_t active = 0; ///< jobs dequeued but not yet stored
-    bool stop = false;
-    std::thread thread;
-  };
-
-  Shard& shard_for(AppId app) noexcept;
-  void run(Shard& shard);
-  void flush_shard(Shard& shard);
+  void run();
   void encode_and_store(Job job, bool via_queue);
 
   SnapshotStore& store_;
@@ -122,9 +96,14 @@ private:
   mutable std::mutex stats_mu_;
   Stats stats_{};
 
-  /// Fixed at construction; unique_ptr because Shard is immovable. Last
-  /// member so shard threads join before the rest tears down.
-  std::vector<std::unique_ptr<Shard>> shards_;
+  mutable std::mutex mu_;
+  std::condition_variable work_cv_;  ///< signals the worker: job or stop
+  std::condition_variable drain_cv_; ///< signals flush(): queue drained
+  std::deque<Job> queue_;
+  std::size_t active_ = 0; ///< jobs dequeued but not yet stored
+  bool stop_ = false;
+  /// Last member so the thread joins before the rest tears down.
+  std::thread thread_;
 };
 
 } // namespace legosdn::checkpoint

@@ -1,141 +1,102 @@
-// Small online-statistics helpers used by the benchmark harnesses.
+// Bounded online statistics: one fixed-size histogram for every latency,
+// round-trip and batch-size series in the controller and the benches.
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
-#include <vector>
+#include <limits>
 
 namespace legosdn {
 
-/// Accumulates samples and reports summary statistics. Percentiles sort a
-/// copy lazily, so it is fine for bench-sized sample counts.
-class Summary {
+/// Log-linear histogram (HDR-style) that never allocates. Each power of two
+/// in [2^-10, 2^40) of the caller's unit is split into 16 linear
+/// sub-buckets; one underflow bucket holds 0 and anything below 2^-10, and
+/// values from 2^40 up share the top bucket. count, sum, min and max are
+/// exact. percentile() reports the midpoint of the bucket that holds the
+/// nearest-rank sample, clamped to [min, max]: p0 is min, p100 is max, and
+/// every other percentile is within 1/32 of the exact nearest-rank value.
+class Histogram {
 public:
-  void add(double x) {
-    samples_.push_back(x);
-    sum_ += x;
-  }
-
-  std::size_t count() const noexcept { return samples_.size(); }
-  double sum() const noexcept { return sum_; }
-  double mean() const noexcept {
-    return samples_.empty() ? 0.0 : sum_ / static_cast<double>(samples_.size());
-  }
-
-  double min() const {
-    return samples_.empty() ? 0.0 : *std::min_element(samples_.begin(), samples_.end());
-  }
-  double max() const {
-    return samples_.empty() ? 0.0 : *std::max_element(samples_.begin(), samples_.end());
-  }
-
-  double stddev() const {
-    if (samples_.size() < 2) return 0.0;
-    const double m = mean();
-    double acc = 0;
-    for (double x : samples_) acc += (x - m) * (x - m);
-    return std::sqrt(acc / static_cast<double>(samples_.size() - 1));
-  }
-
-  /// p in [0, 100]. Nearest-rank on a sorted copy.
-  double percentile(double p) const {
-    if (samples_.empty()) return 0.0;
-    std::vector<double> s = samples_;
-    std::sort(s.begin(), s.end());
-    const double rank = p / 100.0 * static_cast<double>(s.size() - 1);
-    const auto lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min(lo + 1, s.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return s[lo] * (1.0 - frac) + s[hi] * frac;
-  }
-
-  /// Pool another accumulator's samples into this one (e.g. combining
-  /// per-shard latency series into a whole-pipeline distribution).
-  void merge(const Summary& o) {
-    samples_.insert(samples_.end(), o.samples_.begin(), o.samples_.end());
-    sum_ += o.sum_;
-  }
-
-  void clear() {
-    samples_.clear();
-    sum_ = 0;
-  }
-
-private:
-  std::vector<double> samples_;
-  double sum_ = 0;
-};
-
-/// Bounded-memory latency histogram with power-of-two microsecond buckets.
-/// Unlike Summary it never grows, so long-lived transports (millions of RPCs)
-/// can record every round trip. Percentiles are bucket-resolution estimates:
-/// the geometric midpoint of the bucket holding the requested rank.
-class LatencyHistogram {
-public:
-  void add(double us) {
+  void add(double x) noexcept {
+    buckets_[bucket_of(x)] += 1;
     count_ += 1;
-    sum_ += us;
-    max_ = std::max(max_, us);
-    buckets_[bucket_of(us)] += 1;
+    sum_ += x;
+    min_ = std::min(min_, x);
+    max_ = std::max(max_, x);
   }
 
-  void merge(const LatencyHistogram& o) {
+  /// Pool another histogram's samples into this one (e.g. per-lane series
+  /// into a whole-pipeline distribution).
+  void merge(const Histogram& o) noexcept {
+    for (std::size_t i = 0; i < kBuckets; ++i) buckets_[i] += o.buckets_[i];
     count_ += o.count_;
     sum_ += o.sum_;
+    min_ = std::min(min_, o.min_);
     max_ = std::max(max_, o.max_);
-    for (int i = 0; i < kBuckets; ++i) buckets_[i] += o.buckets_[i];
   }
 
+  void clear() noexcept { *this = Histogram{}; }
+
   std::uint64_t count() const noexcept { return count_; }
+  double sum() const noexcept { return sum_; }
   double mean() const noexcept {
     return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
   }
-  double max() const noexcept { return max_; }
+  double min() const noexcept { return count_ == 0 ? 0.0 : min_; }
+  double max() const noexcept { return count_ == 0 ? 0.0 : max_; }
 
-  /// p in [0, 100]; nearest-rank over the bucket counts.
-  double percentile(double p) const {
+  /// p in [0, 100]: an estimate of the ceil(p/100 * count)-th smallest
+  /// sample. The first and last ranks are min and max, exactly.
+  double percentile(double p) const noexcept {
     if (count_ == 0) return 0.0;
-    const auto rank = static_cast<std::uint64_t>(
-        p / 100.0 * static_cast<double>(count_ - 1));
+    const double n = static_cast<double>(count_);
+    const auto rank =
+        static_cast<std::uint64_t>(std::clamp(std::ceil(p / 100.0 * n), 1.0, n));
+    if (rank == 1) return min_;
+    if (rank == count_) return max_;
     std::uint64_t seen = 0;
-    for (int i = 0; i < kBuckets; ++i) {
+    for (std::size_t i = 0; i < kBuckets; ++i) {
       seen += buckets_[i];
-      if (seen > rank) {
-        // Bucket i covers (2^(i-1), 2^i]; report its geometric midpoint,
-        // clamped to the observed maximum so p100 is never an overestimate.
-        const double hi = static_cast<double>(1ULL << i);
-        return std::min(i == 0 ? 1.0 : hi / 1.414213562373095, max_);
-      }
+      if (seen >= rank) return std::clamp(midpoint(i), min_, max_);
     }
     return max_;
   }
 
-  void clear() {
-    count_ = 0;
-    sum_ = 0;
-    max_ = 0;
-    for (auto& b : buckets_) b = 0;
-  }
-
 private:
-  static constexpr int kBuckets = 40; ///< up to ~2^39 us ≈ 6.4 days
+  static constexpr double kLowest = 0x1p-10;
+  static constexpr int kOctaves = 50; ///< 2^-10 .. 2^40
+  static constexpr int kSubBits = 4;  ///< 16 linear sub-buckets per octave
+  static constexpr std::size_t kBuckets = 1 + (std::size_t{kOctaves} << kSubBits);
+  /// A positive double's top 16 bits (sign 0, 11-bit exponent, top 4
+  /// mantissa bits) rise monotonically with its value, one step per
+  /// sub-bucket, so a bucket index is this key minus the lowest one.
+  static constexpr int kKeyShift = 52 - kSubBits;
+  static constexpr std::uint64_t kLowestKey =
+      std::bit_cast<std::uint64_t>(kLowest) >> kKeyShift;
 
-  static int bucket_of(double us) noexcept {
-    if (us <= 1.0) return 0;
-    int b = 0;
-    std::uint64_t v = static_cast<std::uint64_t>(us);
-    while (v > 0 && b < kBuckets - 1) {
-      v >>= 1;
-      ++b;
-    }
-    return b;
+  static std::size_t bucket_of(double x) noexcept {
+    if (!(x >= kLowest)) return 0; // zero, underflow, negative or NaN
+    const std::uint64_t key = std::bit_cast<std::uint64_t>(x) >> kKeyShift;
+    return std::min<std::size_t>(key - kLowestKey + 1, kBuckets - 1);
   }
 
-  std::uint64_t buckets_[kBuckets]{};
+  /// Lower edge of bucket i >= 1; lower_edge(i + 1) is its upper edge.
+  static double lower_edge(std::size_t i) noexcept {
+    return std::bit_cast<double>((kLowestKey + i - 1) << kKeyShift);
+  }
+
+  static double midpoint(std::size_t i) noexcept {
+    return i == 0 ? 0.0 : (lower_edge(i) + lower_edge(i + 1)) / 2;
+  }
+
+  std::array<std::uint64_t, kBuckets> buckets_{};
   std::uint64_t count_ = 0;
   double sum_ = 0;
-  double max_ = 0;
+  double min_ = std::numeric_limits<double>::infinity();
+  double max_ = -std::numeric_limits<double>::infinity();
 };
 
 } // namespace legosdn

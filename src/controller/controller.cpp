@@ -121,7 +121,7 @@ bool Controller::process_one() {
 std::size_t Controller::run(std::size_t max_events) {
   if (engine_) {
     engine_->drain();
-    const std::uint64_t done = engine_->stats().dispatched;
+    const std::uint64_t done = engine_->dispatched();
     const std::uint64_t n = done - engine_run_mark_;
     engine_run_mark_ = done;
     return static_cast<std::size_t>(n);

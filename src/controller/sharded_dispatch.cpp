@@ -40,8 +40,7 @@ ShardedDispatcher::~ShardedDispatcher() {
 }
 
 void ShardedDispatcher::submit(Event e) {
-  const auto now = cfg_.measure_latency ? std::chrono::steady_clock::now()
-                                        : std::chrono::steady_clock::time_point{};
+  const auto now = std::chrono::steady_clock::now();
   const std::size_t target = router_.route(e);
 
   std::lock_guard<std::mutex> submit_lk(submit_mu_);
@@ -66,8 +65,7 @@ void ShardedDispatcher::submit_batch(std::vector<Event> events) {
     submit(std::move(events.front()));
     return;
   }
-  const auto now = cfg_.measure_latency ? std::chrono::steady_clock::now()
-                                        : std::chrono::steady_clock::time_point{};
+  const auto now = std::chrono::steady_clock::now();
 
   // Per-lane runs accumulated between barrier flush points. Routing is a
   // pure hash, so the single pass under submit_mu_ costs no lane locks until
@@ -125,6 +123,9 @@ void ShardedDispatcher::post_barrier_locked(
 
 void ShardedDispatcher::run(Lane& lane, std::size_t idx) {
   std::deque<Item> local; // double buffer: swapped with lane.queue per wakeup
+  // The current batch's latencies, recorded into lane.latency_us under the
+  // lock close_batch takes anyway; reused so a batch costs no allocation.
+  std::vector<double> run_latency;
   for (;;) {
     {
       std::unique_lock<std::mutex> lk(lane.mu);
@@ -137,7 +138,6 @@ void ShardedDispatcher::run(Lane& lane, std::size_t idx) {
     // Execute the drained items; `run_done` counts the current batch — the
     // maximal run of local events between swaps/barriers.
     std::uint64_t run_done = 0;
-    Summary run_latency;
     auto close_batch = [&] {
       if (run_done == 0) return;
       // Boundary hook first, completion accounting second: drain() must not
@@ -148,7 +148,7 @@ void ShardedDispatcher::run(Lane& lane, std::size_t idx) {
         lane.done += run_done;
         lane.batches += 1;
         lane.batch_events.add(static_cast<double>(run_done));
-        if (cfg_.measure_latency) lane.latency_us.merge(run_latency);
+        for (const double us : run_latency) lane.latency_us.add(us);
         ++lane.lock_acquires;
       }
       finish(run_done);
@@ -166,7 +166,7 @@ void ShardedDispatcher::run(Lane& lane, std::size_t idx) {
       } else {
         sink_(std::move(item.event), idx);
         ++run_done;
-        if (cfg_.measure_latency) run_latency.add(us_since(item.submitted_at));
+        run_latency.push_back(us_since(item.submitted_at));
       }
     }
     close_batch();
@@ -190,9 +190,7 @@ void ShardedDispatcher::arrive_barrier(const std::shared_ptr<BarrierState>& b,
   {
     std::lock_guard<std::mutex> llk(lanes_[idx]->mu);
     ++lanes_[idx]->done;
-    if (cfg_.measure_latency) {
-      lanes_[idx]->latency_us.add(us_since(b->submitted_at));
-    }
+    lanes_[idx]->latency_us.add(us_since(b->submitted_at));
     ++lanes_[idx]->lock_acquires;
   }
   lk.lock();
@@ -211,6 +209,15 @@ void ShardedDispatcher::finish(std::uint64_t n) {
 void ShardedDispatcher::drain() {
   std::unique_lock<std::mutex> lk(drain_mu_);
   drain_cv_.wait(lk, [&] { return inflight_.load(std::memory_order_acquire) == 0; });
+}
+
+std::uint64_t ShardedDispatcher::dispatched() const {
+  std::uint64_t n = 0;
+  for (const auto& lane : lanes_) {
+    std::lock_guard<std::mutex> lk(lane->mu);
+    n += lane->done;
+  }
+  return n;
 }
 
 ShardedDispatcher::Stats ShardedDispatcher::stats() const {

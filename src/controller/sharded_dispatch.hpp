@@ -59,9 +59,6 @@ public:
 
   struct Config {
     std::size_t shards = 2;
-    /// Record per-event submit-to-completion latency (two clock reads per
-    /// event; the throughput bench's p99 source).
-    bool measure_latency = true;
     /// Called on the lane thread at every batch boundary: after the last
     /// event of a drained run returns from the sink, before those events
     /// count as finished (drain() cannot return in between), and before any
@@ -99,15 +96,18 @@ public:
     std::uint64_t barriers = 0;   ///< global events executed
     std::uint64_t batches = 0;    ///< drained runs of >=1 local events
     /// Lane-queue mutex acquisitions on the hot path (submit pushes, drain
-    /// swaps, per-batch stat merges) — the amortization the batching buys is
+    /// swaps, per-batch stat updates) — the amortization the batching buys is
     /// visible as dispatched/lock_acquisitions rising above ~0.5.
     std::uint64_t lock_acquisitions = 0;
     std::size_t queue_peak = 0;   ///< deepest any lane queue got
     std::vector<std::uint64_t> per_shard;
-    Summary latency_us;   ///< submit-to-completion, when measured
-    Summary batch_events; ///< events per drained batch (p50/max via percentile)
+    Histogram latency_us;   ///< submit-to-completion, every event
+    Histogram batch_events; ///< events per drained batch (p50/max via percentile)
   };
   Stats stats() const;
+  /// Stats::dispatched alone, without merging the lanes' histograms: cheap
+  /// enough to poll after every drain (Controller::run()).
+  std::uint64_t dispatched() const;
 
 private:
   struct BarrierState {
@@ -134,8 +134,8 @@ private:
     std::size_t peak = 0;
     std::uint64_t batches = 0;
     std::uint64_t lock_acquires = 0; ///< incremented while holding mu
-    Summary latency_us;
-    Summary batch_events;
+    Histogram latency_us;
+    Histogram batch_events;
     std::thread thread;
   };
 

@@ -32,7 +32,7 @@ LegoController::LegoController(netsim::Network& net, LegoConfig cfg)
       snapshots_(cfg_.snapshot_keep, cfg_.checkpoint.codec),
       ckpt_worker_(snapshots_,
                    {cfg_.checkpoint.async, cfg_.checkpoint.max_queue,
-                    cfg_.checkpoint.encode_delay, cfg_.checkpoint.shards}),
+                    cfg_.checkpoint.encode_delay}),
       transformer_(net),
       checker_(net),
       role_(cfg_.role) {
@@ -49,7 +49,7 @@ LegoController::~LegoController() { visor_.shutdown_all(); }
 
 AppId LegoController::add_app(ctl::AppPtr app) {
   const std::size_t shards = cfg_.dispatch.shards;
-  if (shards > 1 && cfg_.dispatch.clone_apps && app->clone() != nullptr) {
+  if (shards > 1 && app->clone() != nullptr) {
     // Dpid-partitionable state: one clone per shard, each a full citizen —
     // own AppId, isolation domain, checkpoint chain, event log, recovery.
     // The clone on lane s only ever sees events whose dpid hashes to s, so
@@ -82,7 +82,6 @@ Status LegoController::start_system() {
     coalesce_lanes_.resize(cfg_.dispatch.shards);
     ctl::ShardedDispatcher::Config dcfg;
     dcfg.shards = cfg_.dispatch.shards;
-    dcfg.measure_latency = true;
     // Batch boundary: commit this lane's coalesced transactions before the
     // drained events count as complete (so drain() never observes an open
     // coalesced span) and before any barrier parks the lane.

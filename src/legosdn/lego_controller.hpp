@@ -59,13 +59,11 @@ struct LegoConfig {
   /// serial pipeline exactly as before; shards > 1 installs a
   /// ShardedDispatcher in start_system(): events are dpid-hash-partitioned
   /// onto lanes, cross-switch events run under a stop-the-world barrier, and
-  /// NetLog commits serialize per switch through its stripe locks.
+  /// NetLog commits serialize per switch through its stripe locks. Apps whose
+  /// state partitions by dpid (App::clone() != nullptr) run one clone per
+  /// shard; the others run one instance serialized by a per-entry lock.
   struct DispatchConfig {
     std::size_t shards = 1;
-    /// Run one clone per shard for apps whose state partitions by dpid
-    /// (App::clone() != nullptr); non-cloneable apps get one instance
-    /// serialized by a per-entry lock instead.
-    bool clone_apps = true;
     /// Commit coalescing (DESIGN.md §4.7): within one drained lane batch,
     /// consecutive transactions of the same app share a single NetLog
     /// begin/commit (logical spans keep begun/committed stats identical to
@@ -100,10 +98,6 @@ struct LegoConfig {
     /// Test-only artificial encode delay (keeps a snapshot observably
     /// in flight so crash-during-encode paths can be exercised).
     std::chrono::microseconds encode_delay{0};
-    /// Encode threads; apps are pinned to a shard by AppId hash, so raising
-    /// this parallelizes multi-app portfolios without reordering any single
-    /// app's delta chain.
-    std::size_t shards = 1;
 
     /// Adaptive cadence: widen the effective checkpoint_every when the
     /// observed per-event checkpoint cost exceeds the budget; tighten back
@@ -262,7 +256,7 @@ public:
     std::uint64_t inline_encodes = 0;     ///< backpressure fell back inline
     std::uint64_t adaptive_widens = 0;    ///< cadence doublings (over budget)
     std::uint64_t adaptive_tightens = 0;  ///< cadence resets (after a crash)
-    LatencyHistogram encode_lag_us;       ///< capture-to-stored latency
+    Histogram encode_lag_us;              ///< capture-to-stored latency
   };
   /// Controller counters plus the checkpoint worker's, merged. Returns a
   /// value (not a reference): the worker half mutates on another thread.

@@ -361,24 +361,21 @@ TEST(CheckpointWorker, InFlightVisibleWithEncodeDelay) {
   EXPECT_EQ(store.latest_seq(AppId{1}), 1u);
 }
 
-// The sharded encode pool parallelizes across apps, but every app's delta
-// chain still depends on its snapshots landing in submission order. Hammer
-// the worker from several threads (each owning disjoint apps, so per-app
-// submission order is well defined), with a queue small enough to force
-// backpressure inline fallbacks, and check each app's stored chain: exact
-// sequence, no gaps, and the composed latest state byte-identical to the
-// last capture.
-TEST(CheckpointWorker, ShardedPoolPreservesPerAppOrderUnderConcurrency) {
+// Every app's delta chain depends on its snapshots landing in submission
+// order. Hammer the worker from several threads (each owning disjoint apps,
+// so per-app submission order is well defined), with a queue small enough to
+// force backpressure inline fallbacks, and check each app's stored chain:
+// exact sequence, no gaps, and the composed latest state byte-identical to
+// the last capture.
+TEST(CheckpointWorker, PoolPreservesPerAppOrderUnderConcurrency) {
   CodecConfig cfg;
   cfg.full_every = 4; // exercise delta chaining, not just independent fulls
   SnapshotStore store(64, cfg);
   CheckpointWorker::Config wcfg;
   wcfg.async = true;
-  wcfg.shards = 4;
   wcfg.max_queue = 2;
   wcfg.encode_delay = std::chrono::microseconds(200);
   CheckpointWorker worker(store, wcfg);
-  ASSERT_EQ(worker.shard_count(), 4u);
 
   constexpr std::uint32_t kThreads = 4;
   constexpr std::uint32_t kAppsPerThread = 3;

@@ -1,6 +1,11 @@
 // Unit tests for the common substrate: byte codec, RNG, result, clock, stats.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <type_traits>
+#include <vector>
+
 #include "common/bytes.hpp"
 #include "common/clock.hpp"
 #include "common/result.hpp"
@@ -187,24 +192,97 @@ TEST(Types, IpFormatting) {
   EXPECT_EQ(IpV4::from_octets(255, 255, 255, 0).addr, 0xFFFFFF00u);
 }
 
-TEST(Stats, SummaryStatistics) {
-  Summary s;
-  for (double x : {1.0, 2.0, 3.0, 4.0, 5.0}) s.add(x);
-  EXPECT_EQ(s.count(), 5u);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 5.0);
-  EXPECT_DOUBLE_EQ(s.percentile(50), 3.0);
-  EXPECT_DOUBLE_EQ(s.percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(s.percentile(100), 5.0);
-  EXPECT_NEAR(s.stddev(), 1.5811, 1e-3);
+static_assert(std::is_trivially_copyable_v<Histogram>);
+
+/// `n` seeded samples spread log-uniformly over [0.01, 1e7].
+std::vector<double> log_uniform_samples(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> xs(n);
+  for (double& x : xs) x = std::pow(10.0, -2.0 + 9.0 * rng.uniform());
+  return xs;
 }
 
-TEST(Stats, EmptySummaryIsSafe) {
-  Summary s;
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.percentile(99), 0.0);
-  EXPECT_EQ(s.stddev(), 0.0);
+/// The exact nearest-rank percentile: the ceil(p% * n)-th smallest sample.
+double nearest_rank(std::vector<double> xs, double p) {
+  std::sort(xs.begin(), xs.end());
+  const double n = static_cast<double>(xs.size());
+  const auto rank = static_cast<std::size_t>(std::max(1.0, std::ceil(p / 100.0 * n)));
+  return xs[rank - 1];
+}
+
+TEST(Histogram, PercentilesWithinOneThirtySecondOfNearestRank) {
+  const auto xs = log_uniform_samples(20000, 7);
+  Histogram h;
+  double sum = 0;
+  for (const double x : xs) {
+    h.add(x);
+    sum += x;
+  }
+  ASSERT_EQ(h.count(), xs.size());
+  EXPECT_EQ(h.sum(), sum); // count and sum are exact, not bucketed
+  EXPECT_DOUBLE_EQ(h.mean(), sum / static_cast<double>(xs.size()));
+  for (const double p : {0.0, 1.0, 50.0, 90.0, 99.0, 99.9, 100.0}) {
+    const double exact = nearest_rank(xs, p);
+    EXPECT_NEAR(h.percentile(p), exact, exact / 32) << "p" << p;
+  }
+  // The first and last ranks are exact, not bucket estimates.
+  EXPECT_EQ(h.percentile(0), *std::min_element(xs.begin(), xs.end()));
+  EXPECT_EQ(h.percentile(100), *std::max_element(xs.begin(), xs.end()));
+  EXPECT_EQ(h.min(), h.percentile(0));
+  EXPECT_EQ(h.max(), h.percentile(100));
+}
+
+TEST(Histogram, RepeatedValueReportsItself) {
+  // A power-of-two histogram reports 724 (1000/sqrt(2)) here.
+  Histogram one;
+  one.add(1000);
+  EXPECT_NEAR(one.percentile(50), 1000.0, 1000.0 / 32);
+  // Clamping to [min, max] makes a run of one value exact at every rank,
+  // although 1000 sits below its bucket's midpoint (1008).
+  Histogram run;
+  for (int i = 0; i < 1000; ++i) run.add(1000);
+  for (const double p : {1.0, 50.0, 99.0}) EXPECT_EQ(run.percentile(p), 1000.0);
+  EXPECT_DOUBLE_EQ(run.mean(), 1000.0);
+}
+
+TEST(Histogram, MergeEqualsPooledSamples) {
+  const auto xs = log_uniform_samples(5000, 11);
+  Histogram a, b, pooled;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    (i % 3 == 0 ? a : b).add(xs[i]);
+    pooled.add(xs[i]);
+  }
+  a.merge(b);
+  EXPECT_EQ(a.count(), pooled.count());
+  EXPECT_EQ(a.min(), pooled.min());
+  EXPECT_EQ(a.max(), pooled.max());
+  EXPECT_NEAR(a.sum(), pooled.sum(), pooled.sum() * 1e-12);
+  for (double p = 0; p <= 100; p += 0.5) EXPECT_EQ(a.percentile(p), pooled.percentile(p));
+}
+
+TEST(Histogram, EmptyAndZeroSamplesAreSafe) {
+  Histogram h;
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.mean(), 0.0);
+  EXPECT_EQ(h.min(), 0.0);
+  EXPECT_EQ(h.max(), 0.0);
+  for (const double p : {0.0, 50.0, 99.0, 100.0}) EXPECT_EQ(h.percentile(p), 0.0);
+
+  for (int i = 0; i < 5; ++i) h.add(0.0);
+  EXPECT_EQ(h.count(), 5u);
+  EXPECT_EQ(h.mean(), 0.0);
+  for (const double p : {0.0, 50.0, 100.0}) EXPECT_EQ(h.percentile(p), 0.0);
+
+  h.add(8.0);
+  EXPECT_EQ(h.percentile(50), 0.0);
+  EXPECT_EQ(h.percentile(100), 8.0);
+
+  h.clear();
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.percentile(50), 0.0);
+  h.add(3.0); // clear() also forgot the old min and max
+  EXPECT_EQ(h.min(), 3.0);
+  EXPECT_EQ(h.max(), 3.0);
 }
 
 } // namespace

@@ -302,6 +302,33 @@ TEST(ShardedDispatcher, BatchSubmitAmortizesLockAcquisitions) {
   EXPECT_GE(st.batch_events.max(), 1.0);
 }
 
+// Long-run soak. Lane stats are fixed-size histograms, so recording every
+// event's latency and every batch's size keeps lane memory flat; none of
+// those samples may be lost on the way in: one latency per dispatched event
+// (locals and barriers alike) and one size per drained batch.
+TEST(ShardedDispatcher, SoakRecordsEveryEventAndBatch) {
+  constexpr std::uint64_t kRounds = 200;
+  constexpr std::uint64_t kPerRound = 1000; // one of them a global barrier
+  ctl::ShardedDispatcher d({.shards = 2}, [](ctl::Event, std::size_t) {});
+  for (std::uint64_t r = 0; r < kRounds; ++r) {
+    std::vector<ctl::Event> batch;
+    batch.reserve(kPerRound);
+    for (std::uint64_t i = 0; i < kPerRound; ++i) {
+      const std::uint64_t dpid = i == kPerRound / 2 ? 0 : 1 + i % 8; // 0: kGlobal
+      batch.push_back(ctl::Event{packet_in(dpid, 1, i)});
+    }
+    d.submit_batch(std::move(batch));
+    d.drain();
+  }
+  const auto st = d.stats();
+  EXPECT_EQ(st.dispatched, kRounds * kPerRound);
+  EXPECT_EQ(d.dispatched(), st.dispatched);
+  EXPECT_EQ(st.barriers, kRounds);
+  EXPECT_EQ(st.latency_us.count(), st.dispatched);
+  EXPECT_EQ(st.batch_events.count(), st.batches);
+  EXPECT_EQ(st.batch_events.sum(), static_cast<double>(st.dispatched - st.barriers));
+}
+
 // ---------------------------------------------------------------------------
 // Differential: serial vs sharded LegoController
 // ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@
 //   in-process  — AppVisor domain with a fault boundary, no serialization;
 //   process+UDP — the paper's proxy/stub over real UDP RPC, with and
 //                 without a per-event checkpoint (§4.1 takes one per event).
+// Process rows also report RPCs per event: a per-event checkpoint rides on
+// the deliver's reply, so it should cost one.
 #include "appvisor/inprocess_domain.hpp"
 #include "appvisor/process_domain.hpp"
 #include "apps/learning_switch.hpp"
@@ -42,7 +44,14 @@ ctl::Event make_packet_in(std::uint64_t i) {
 struct LatencyRow {
   std::string path;
   Histogram us;
+  double rpc_calls_per_event = -1; ///< process rows only
 };
+
+/// RPCs per event over the measured iterations of a process row.
+double rpcs_per_event(const appvisor::ProcessDomain& d, std::uint64_t calls_at_start,
+                      int events) {
+  return static_cast<double>(d.transport_stats()->rpc_calls - calls_at_start) / events;
+}
 
 } // namespace
 
@@ -98,12 +107,15 @@ int main() {
     }
     bench::Stopwatch sw;
     LatencyRow row{"AppVisor process + UDP RPC", {}};
+    std::uint64_t calls_at_start = 0;
     for (int i = 0; i < kWarmup + kProcIters; ++i) {
+      if (i == kWarmup) calls_at_start = d.transport_stats()->rpc_calls;
       sw.start();
       auto out = d.deliver(make_packet_in(i), kSimStart);
       const double us = sw.elapsed_us();
       if (i >= kWarmup) row.us.add(us);
     }
+    row.rpc_calls_per_event = rpcs_per_event(d, calls_at_start, kProcIters);
     d.shutdown();
     rows.push_back(std::move(row));
   }
@@ -117,13 +129,16 @@ int main() {
     }
     bench::Stopwatch sw;
     LatencyRow row{"process + UDP + per-event checkpoint", {}};
+    std::uint64_t calls_at_start = 0;
     for (int i = 0; i < kWarmup + kProcIters; ++i) {
+      if (i == kWarmup) calls_at_start = d.transport_stats()->rpc_calls;
       sw.start();
       auto snap = d.snapshot(); // "a checkpoint prior to dispatching every message"
       auto out = d.deliver(make_packet_in(i), kSimStart);
       const double us = sw.elapsed_us();
       if (i >= kWarmup && snap.ok()) row.us.add(us);
     }
+    row.rpc_calls_per_event = rpcs_per_event(d, calls_at_start, kProcIters);
     d.shutdown();
     rows.push_back(std::move(row));
   }
@@ -133,12 +148,14 @@ int main() {
   for (auto& h : bench::latency_headers(/*with_mean=*/true))
     headers.push_back(std::move(h));
   headers.push_back("slowdown vs direct");
+  headers.push_back("RPCs/event");
   bench::Table table(std::move(headers));
   for (const auto& r : rows) {
     std::vector<std::string> cells{r.path};
     for (auto& c : bench::latency_cells(r.us, /*with_mean=*/true))
       cells.push_back(std::move(c));
     cells.push_back(bench::fmt(r.us.percentile(50) / base, 1) + "x");
+    cells.push_back(r.rpc_calls_per_event < 0 ? "-" : bench::fmt(r.rpc_calls_per_event));
     table.row(std::move(cells));
   }
   table.print();
@@ -228,6 +245,7 @@ int main() {
       .begin_arr("paths");
   for (const auto& r : rows) {
     j.begin_obj().kv("path", r.path);
+    if (r.rpc_calls_per_event >= 0) j.kv("rpc_calls_per_event", r.rpc_calls_per_event, 3);
     bench::latency_kv(j, r.us, /*with_mean=*/true).end_obj();
   }
   j.end_arr().begin_arr("loss_sweep");

@@ -191,6 +191,27 @@ def check_failover(path: Path, doc) -> None:
              "— promotion relearned state it should have inherited warm")
 
 
+def check_isolation_latency(path: Path, doc) -> None:
+    """Schema for BENCH_isolation_latency.json (experiments F1/C1): every
+    process row reports rpc_calls_per_event, and a per-event checkpoint costs
+    at most one RPC per event (the stub ships the post-event state on the
+    deliver's reply). A count, not a timing, so it holds on any runner."""
+    rows = doc.get("paths")
+    if not isinstance(rows, list) or not rows:
+        fail(f"{path}: 'paths' must be a non-empty list")
+    process_rows = [r for r in rows if "UDP" in str(r.get("path", ""))]
+    for r in process_rows:
+        if not isinstance(r.get("rpc_calls_per_event"), (int, float)):
+            fail(f"{path}: process row {r.get('path')!r} lacks rpc_calls_per_event")
+    ckpt = [r for r in process_rows if "per-event checkpoint" in r["path"]]
+    if len(ckpt) != 1:
+        fail(f"{path}: expected one per-event-checkpoint process row, got {len(ckpt)}")
+    rpcs = ckpt[0]["rpc_calls_per_event"]
+    if rpcs > 1.0:
+        fail(f"{path}: per-event checkpoint makes {rpcs:.3f} RPCs per event "
+             "(> 1.0): the snapshot is not riding on the deliver's reply")
+
+
 def headline_speedup(path: Path, doc) -> float | None:
     headline = doc.get("headline")
     if headline is None:
@@ -215,6 +236,8 @@ def check_file(path: Path, baseline_dir: Path, max_regression: float) -> str:
         check_throughput(path, doc)
     if doc.get("bench") == "failover":
         check_failover(path, doc)
+    if doc.get("bench") == "isolation_latency":
+        check_isolation_latency(path, doc)
 
     speedup = headline_speedup(path, doc)
     if speedup is None:

@@ -10,14 +10,15 @@ ctl::Disposition LearningSwitch::handle_event(const ctl::Event& e,
                                               ctl::ServiceApi& api) {
   if (const auto* down = std::get_if<ctl::SwitchDown>(&e)) {
     // Forget everything learned at the dead switch.
-    std::erase_if(table_, [&](const auto& kv) { return kv.first.dpid == down->dpid; });
+    std::erase_if(table_,
+                  [&](const Entry& entry) { return entry.key.dpid == down->dpid; });
     return ctl::Disposition::kContinue;
   }
   if (const auto* ps = std::get_if<of::PortStatus>(&e)) {
     if (!ps->desc.link_up) {
       // Hosts/peers behind a dead port must be relearned.
-      std::erase_if(table_, [&](const auto& kv) {
-        return kv.first.dpid == ps->dpid && kv.second == ps->desc.port;
+      std::erase_if(table_, [&](const Entry& entry) {
+        return entry.key.dpid == ps->dpid && entry.port == ps->desc.port;
       });
     }
     return ctl::Disposition::kContinue;
@@ -28,7 +29,7 @@ ctl::Disposition LearningSwitch::handle_event(const ctl::Event& e,
   const of::PacketHeader& hdr = pin->packet.hdr;
   // Learn the source unless it is a broadcast/multicast source (bogus).
   if (!hdr.eth_src.is_multicast()) {
-    table_[{pin->dpid, hdr.eth_src}] = pin->in_port;
+    learn({pin->dpid, hdr.eth_src.to_uint64()}, pin->in_port);
   }
 
   const PortNo* out = lookup(pin->dpid, hdr.eth_dst);
@@ -71,27 +72,37 @@ ctl::Disposition LearningSwitch::handle_event(const ctl::Event& e,
   return ctl::Disposition::kStop;
 }
 
+namespace {
+
+constexpr auto key_less = [](const auto& entry, const auto& key) {
+  return entry.key < key;
+};
+
+} // namespace
+
+void LearningSwitch::learn(const Key& key, PortNo port) {
+  auto it = std::lower_bound(table_.begin(), table_.end(), key, key_less);
+  if (it != table_.end() && it->key == key) {
+    it->port = port;
+  } else {
+    table_.insert(it, {key, port});
+  }
+}
+
 const PortNo* LearningSwitch::lookup(DatapathId dpid, const MacAddress& mac) const {
-  auto it = table_.find({dpid, mac});
-  return it == table_.end() ? nullptr : &it->second;
+  const Key key{dpid, mac.to_uint64()};
+  auto it = std::lower_bound(table_.begin(), table_.end(), key, key_less);
+  return it != table_.end() && it->key == key ? &it->port : nullptr;
 }
 
 std::vector<std::uint8_t> LearningSwitch::snapshot_state() const {
-  // Canonical (sorted) encoding: the hash map's iteration order depends on
-  // its construction history, and two logically equal tables must serialize
-  // byte-identically — restore paths compare snapshots, and the delta
-  // encoder diffs consecutive ones chunk-by-chunk.
-  std::vector<std::pair<Key, PortNo>> entries(table_.begin(), table_.end());
-  std::sort(entries.begin(), entries.end(), [](const auto& a, const auto& b) {
-    if (a.first.dpid != b.first.dpid) return a.first.dpid < b.first.dpid;
-    return a.first.mac.to_uint64() < b.first.mac.to_uint64();
-  });
-  ByteWriter w;
-  w.u32(static_cast<std::uint32_t>(entries.size()));
-  for (const auto& [k, port] : entries) {
-    w.u64(raw(k.dpid));
-    w.mac(k.mac);
-    w.u16(raw(port));
+  constexpr std::size_t kRecordBytes = 8 + 6 + 2; // dpid, mac, port
+  ByteWriter w(4 + table_.size() * kRecordBytes);
+  w.u32(static_cast<std::uint32_t>(table_.size()));
+  for (const Entry& e : table_) {
+    w.u64(raw(e.key.dpid));
+    w.mac(MacAddress::from_uint64(e.key.mac));
+    w.u16(raw(e.port));
   }
   return std::move(w).take();
 }
@@ -101,11 +112,10 @@ void LearningSwitch::restore_state(std::span<const std::uint8_t> state) {
   ByteReader r(state);
   const std::uint32_t n = r.u32();
   for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-    Key k;
-    k.dpid = DatapathId{r.u64()};
-    k.mac = r.mac();
+    const DatapathId dpid{r.u64()};
+    const MacAddress mac = r.mac();
     const PortNo port{r.u16()};
-    if (r.ok()) table_[k] = port;
+    if (r.ok()) learn({dpid, mac.to_uint64()}, port); // sorted input appends
   }
 }
 

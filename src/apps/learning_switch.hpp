@@ -9,8 +9,6 @@
 // state-loss cost the paper's checkpointing avoids.
 #pragma once
 
-#include <unordered_map>
-
 #include "controller/app.hpp"
 
 namespace legosdn::apps {
@@ -48,17 +46,20 @@ public:
 private:
   struct Key {
     DatapathId dpid{};
-    MacAddress mac{};
-    bool operator==(const Key&) const = default;
+    std::uint64_t mac = 0; ///< MacAddress::to_uint64()
+    auto operator<=>(const Key&) const = default;
   };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const noexcept {
-      return std::hash<std::uint64_t>{}(raw(k.dpid) * 0x9E3779B97F4A7C15ULL ^
-                                        k.mac.to_uint64());
-    }
+  struct Entry {
+    Key key;
+    PortNo port{};
   };
 
-  std::unordered_map<Key, PortNo, KeyHash> table_;
+  void learn(const Key& key, PortNo port);
+
+  /// Sorted by key, unique: the snapshot's canonical order, so that
+  /// snapshot_state() is one pass and two logically equal tables serialize
+  /// byte-identically.
+  std::vector<Entry> table_;
   std::uint16_t idle_timeout_;
   std::uint16_t priority_;
 };

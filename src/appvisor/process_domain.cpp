@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <utility>
 
 #include "common/log.hpp"
 
@@ -70,6 +71,12 @@ void run_stub(ctl::App& app, std::uint16_t proxy_port,
     chan.send_frame(proxy, last_reply_wire);
   };
 
+  // The state the proxy's mirror was last synced to, and the seq of the RPC
+  // that shipped it (0: nothing shipped since this stub started). A shipped
+  // delta is diffed against it and names that seq as its base.
+  std::vector<std::uint8_t> shipped;
+  std::uint64_t shipped_seq = 0;
+
   std::uint32_t xid = 1;
   for (;;) {
     auto rcv = chan.recv_frame(cfg.heartbeat_interval_ms);
@@ -106,6 +113,14 @@ void run_stub(ctl::App& app, std::uint16_t proxy_port,
           CollectingServiceApi api(SimTime{del.value().now_ns}, &xid);
           done.disposition = app.handle_event(del.value().event, api);
           done.emitted = std::move(api).take();
+          if (del.value().ship_state) {
+            std::vector<std::uint8_t> state = app.snapshot_state();
+            done.state = StateDelta{shipped_seq,
+                                    static_cast<std::uint32_t>(state.size()),
+                                    checkpoint::diff_chunks(shipped, state, kStateChunk)};
+            shipped = std::move(state);
+            shipped_seq = req.seq;
+          }
         } catch (const ctl::AppCrash& crash) {
           // Real fail-stop: tell the proxy our last words, then die hard.
           const std::string what = crash.what();
@@ -118,7 +133,9 @@ void run_stub(ctl::App& app, std::uint16_t proxy_port,
         break;
       }
       case RpcType::kSnapshotRequest: {
-        reply({RpcType::kSnapshotReply, req.seq, app.snapshot_state()});
+        shipped = app.snapshot_state();
+        shipped_seq = req.seq;
+        reply({RpcType::kSnapshotReply, req.seq, shipped});
         break;
       }
       case RpcType::kRestoreRequest: {
@@ -150,6 +167,7 @@ Status ProcessDomain::start() {
 }
 
 Status ProcessDomain::spawn() {
+  mirror_seq_ = 0; // a new stub has shipped nothing
   const pid_t pid = ::fork();
   if (pid < 0) return Error{Error::Code::kIo, "fork: " + std::string(strerror(errno))};
   if (pid == 0) {
@@ -339,9 +357,12 @@ long ProcessDomain::ms_since_heartbeat() const {
 
 EventOutcome ProcessDomain::deliver(const ctl::Event& event, SimTime now) {
   EventOutcome out;
-  DeliverEventPayload payload{raw(now), event};
+  DeliverEventPayload payload{raw(now), event, std::exchange(ship_state_, false)};
   auto reply = call(RpcType::kDeliverEvent, encode_deliver(payload),
                     RpcType::kEventDone, cfg_.deliver_timeout_ms);
+  // The event changes the stub's state: the mirror stays valid only if the
+  // reply carries a delta on top of it.
+  const std::uint64_t base = std::exchange(mirror_seq_, 0);
   if (!reply) {
     out.kind = reply.error().code == Error::Code::kTimeout
                    ? EventOutcome::Kind::kTimeout
@@ -358,17 +379,28 @@ EventOutcome ProcessDomain::deliver(const ctl::Event& event, SimTime now) {
   }
   out.disposition = done.value().disposition;
   out.emitted = std::move(done.value().emitted);
+  // A base-0 delta covers the whole state (decode checked), so it re-bases
+  // even a stale mirror.
+  if (const auto& delta = done.value().state;
+      delta && delta->base == base &&
+      checkpoint::apply_chunks(mirror_, delta->size, delta->dirty, kStateChunk))
+    mirror_seq_ = reply.value().seq;
   return out;
 }
 
 Result<std::vector<std::uint8_t>> ProcessDomain::snapshot() {
+  ship_state_ = true;
+  if (alive_ && mirror_seq_ != 0) return mirror_;
   auto reply =
       call(RpcType::kSnapshotRequest, {}, RpcType::kSnapshotReply, cfg_.rpc_timeout_ms);
   if (!reply) return reply.error();
+  mirror_ = reply.value().payload;
+  mirror_seq_ = reply.value().seq;
   return std::move(reply.value().payload);
 }
 
 Status ProcessDomain::restore(std::span<const std::uint8_t> state) {
+  mirror_seq_ = 0;
   if (!alive_) {
     child_exited(); // reap
     if (child_pid_ > 0) kill_child();

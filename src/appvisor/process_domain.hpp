@@ -18,6 +18,12 @@
 // Checkpoint/restore: instead of CRIU (unavailable here; see DESIGN.md §5)
 // the stub serializes the app's logical state through snapshot_state() and a
 // re-spawned stub installs it through restore_state().
+//
+// One round trip per checkpointed event: a deliver() that follows a
+// snapshot() asks the stub to append its post-event state to kEventDone, as
+// the chunks that changed since the copy it last shipped. The proxy applies
+// them to a mirror of that copy, so the next snapshot() is a local copy. A
+// stale mirror falls back to a kSnapshotRequest, which re-bases both sides.
 #pragma once
 
 #include <sys/types.h>
@@ -103,6 +109,14 @@ private:
   pid_t child_pid_ = -1;
   bool alive_ = false;
   std::uint64_t next_seq_ = 1;
+
+  // Mirror of the stub's app state. Valid while mirror_seq_ != 0: then it is
+  // byte-identical to what the stub's app.snapshot_state() would return, and
+  // mirror_seq_ is the seq of the RPC that shipped the stub's matching copy.
+  std::vector<std::uint8_t> mirror_;
+  std::uint64_t mirror_seq_ = 0;
+  bool ship_state_ = false; ///< snapshot() was called since the last deliver()
+
   std::string last_crash_info_;
   std::chrono::steady_clock::time_point last_heartbeat_{};
   TransportStats tstats_;

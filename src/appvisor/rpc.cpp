@@ -49,6 +49,16 @@ std::vector<std::uint8_t> encode_event_done(const EventDonePayload& p) {
   w.u8(p.disposition == ctl::Disposition::kStop ? 1 : 0);
   w.u32(static_cast<std::uint32_t>(p.emitted.size()));
   for (const auto& m : p.emitted) w.blob(of::wire10::encode_framed(m));
+  w.u8(p.state ? 1 : 0);
+  if (p.state) {
+    w.u64(p.state->base);
+    w.u32(p.state->size);
+    w.u32(static_cast<std::uint32_t>(p.state->dirty.size()));
+    for (const auto& c : p.state->dirty) {
+      w.u32(c.index);
+      w.blob(c.data);
+    }
+  }
   return std::move(w).take();
 }
 
@@ -64,6 +74,23 @@ Result<EventDonePayload> decode_event_done(std::span<const std::uint8_t> bytes) 
     if (!msg) return msg.error();
     p.emitted.push_back(std::move(msg).value());
   }
+  if (r.u8()) {
+    StateDelta d;
+    d.base = r.u64();
+    d.size = r.u32();
+    const std::uint32_t chunks = r.u32();
+    for (std::uint32_t i = 0; i < chunks && r.ok(); ++i) {
+      checkpoint::DirtyChunk c;
+      c.index = r.u32();
+      c.data = r.blob();
+      c.raw_size = static_cast<std::uint32_t>(c.data.size());
+      d.dirty.push_back(std::move(c));
+    }
+    // Without a base, the chunks alone must rebuild the whole state.
+    if (r.ok() && checkpoint::check_chunks(d.dirty, d.base == 0 ? 0 : d.size,
+                                           d.size, kStateChunk))
+      p.state = std::move(d);
+  }
   if (r.error()) return Error{Error::Code::kTruncated, "event-done truncated"};
   return p;
 }
@@ -71,6 +98,7 @@ Result<EventDonePayload> decode_event_done(std::span<const std::uint8_t> bytes) 
 std::vector<std::uint8_t> encode_deliver(const DeliverEventPayload& p) {
   ByteWriter w;
   w.u64(static_cast<std::uint64_t>(p.now_ns));
+  w.u8(p.ship_state ? 1 : 0);
   ctl::encode_event(p.event, w);
   return std::move(w).take();
 }
@@ -79,6 +107,7 @@ Result<DeliverEventPayload> decode_deliver(std::span<const std::uint8_t> bytes) 
   ByteReader r(bytes);
   DeliverEventPayload p;
   p.now_ns = static_cast<std::int64_t>(r.u64());
+  p.ship_state = r.u8() != 0;
   auto ev = ctl::decode_event(r);
   if (!ev) return ev.error();
   p.event = std::move(ev).value();

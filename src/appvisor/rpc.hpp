@@ -10,9 +10,11 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "checkpoint/delta_codec.hpp"
 #include "common/result.hpp"
 #include "controller/app.hpp"
 #include "controller/event_codec.hpp"
@@ -23,7 +25,7 @@ namespace legosdn::appvisor {
 enum class RpcType : std::uint8_t {
   // stub -> proxy
   kRegister = 0,      ///< app name + subscriptions
-  kEventDone = 1,     ///< disposition + emitted message bundle
+  kEventDone = 1,     ///< disposition + emitted bundle [+ post-event state delta]
   kSnapshotReply = 2, ///< serialized app state
   kRestoreAck = 3,
   kHeartbeat = 4,     ///< periodic liveness beacon
@@ -54,16 +56,36 @@ struct RegisterPayload {
 std::vector<std::uint8_t> encode_register(const RegisterPayload& p);
 Result<RegisterPayload> decode_register(std::span<const std::uint8_t> bytes);
 
+/// Chunk granularity of the state deltas kEventDone carries.
+inline constexpr std::size_t kStateChunk = 1024;
+
+/// The stub's post-event app state, as the kStateChunk chunks that differ
+/// from the copy it last shipped. `base` is the seq of the RPC that shipped
+/// that copy; 0 means none, and then the chunks cover all `size` bytes.
+struct StateDelta {
+  std::uint64_t base = 0;
+  std::uint32_t size = 0;
+  std::vector<checkpoint::DirtyChunk> dirty; ///< uncompressed, ascending
+
+  bool operator==(const StateDelta&) const = default;
+};
+
 struct EventDonePayload {
   ctl::Disposition disposition = ctl::Disposition::kContinue;
   std::vector<of::Message> emitted;
+  std::optional<StateDelta> state; ///< set when the deliver asked for it
 };
 std::vector<std::uint8_t> encode_event_done(const EventDonePayload& p);
+/// A truncated payload is an error. A delta with a chunk outside its `size`,
+/// or a base-0 delta that does not cover [0, size), is dropped (`state` is
+/// left empty) without failing the rest of the payload.
 Result<EventDonePayload> decode_event_done(std::span<const std::uint8_t> bytes);
 
 struct DeliverEventPayload {
   std::int64_t now_ns = 0;
   ctl::Event event;
+  /// Ask the stub to return the post-event state delta in kEventDone.
+  bool ship_state = false;
 };
 std::vector<std::uint8_t> encode_deliver(const DeliverEventPayload& p);
 Result<DeliverEventPayload> decode_deliver(std::span<const std::uint8_t> bytes);

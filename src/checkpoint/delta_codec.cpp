@@ -1,17 +1,45 @@
 #include "checkpoint/delta_codec.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 namespace legosdn::checkpoint {
 
+namespace {
+
+std::uint64_t load_le64(const std::uint8_t* p) noexcept {
+  std::uint64_t w = 0;
+  std::memcpy(&w, p, sizeof w);
+  if constexpr (std::endian::native == std::endian::big) w = __builtin_bswap64(w);
+  return w;
+}
+
+} // namespace
+
 std::uint64_t chunk_hash(std::span<const std::uint8_t> bytes) noexcept {
-  // FNV-1a 64.
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 0x100000001b3ull;
+  // Odd multipliers, so each multiply is a bijection.
+  constexpr std::uint64_t kWordMul = 0x9E3779B97F4A7C15ull;
+  constexpr std::uint64_t kStateMul = 0xbf58476d1ce4e5b9ull;
+  std::uint64_t h = 0xcbf29ce484222325ull ^ (bytes.size() * kWordMul);
+  const std::uint8_t* p = bytes.data();
+  std::size_t n = bytes.size();
+  for (; n >= 8; n -= 8, p += 8) {
+    // A multiply carries a difference only upwards, so a flip of bit 63
+    // passes it unchanged; in FNV over words two such flips cancel. The
+    // xor-shift brings the high half down for the next multiply to mix, and
+    // multiplying the word first keeps the trace a top-bit flip leaves in
+    // `h` from being undone by a fixed flip of the next word.
+    h = (h ^ (load_le64(p) * kWordMul)) * kStateMul;
+    h ^= h >> 29;
   }
+  for (; n > 0; --n, ++p) h = (h ^ *p) * 0x100000001b3ull;
+  // murmur3's fmix64: every input bit reaches every output bit.
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  h ^= h >> 33;
   return h;
 }
 
@@ -176,20 +204,67 @@ Status apply_delta(Bytes& state, const EncodedSnapshot& delta,
                    std::size_t chunk_size) {
   if (delta.is_full)
     return Error{Error::Code::kConflict, "apply_delta on a full snapshot"};
+  return apply_chunks(state, delta.state_size, delta.dirty, chunk_size);
+}
+
+std::vector<DirtyChunk> diff_chunks(std::span<const std::uint8_t> base,
+                                    std::span<const std::uint8_t> state,
+                                    std::size_t chunk_size) {
   const std::size_t chunk = chunk_size == 0 ? 1 : chunk_size;
-  state.resize(delta.state_size, 0);
-  for (const auto& dc : delta.dirty) {
-    const std::size_t off = std::size_t{dc.index} * chunk;
-    if (off + dc.raw_size > state.size())
+  std::vector<DirtyChunk> out;
+  for (std::size_t off = 0; off < state.size(); off += chunk) {
+    const std::size_t n = std::min(chunk, state.size() - off);
+    if (off + n <= base.size() &&
+        std::memcmp(base.data() + off, state.data() + off, n) == 0)
+      continue;
+    DirtyChunk dc;
+    dc.index = static_cast<std::uint32_t>(off / chunk);
+    dc.raw_size = static_cast<std::uint32_t>(n);
+    dc.data.assign(state.begin() + static_cast<std::ptrdiff_t>(off),
+                   state.begin() + static_cast<std::ptrdiff_t>(off + n));
+    out.push_back(std::move(dc));
+  }
+  return out;
+}
+
+Status check_chunks(std::span<const DirtyChunk> dirty, std::size_t base_size,
+                    std::size_t size, std::size_t chunk_size) {
+  const std::size_t chunk = chunk_size == 0 ? 1 : chunk_size;
+  std::size_t covered = base_size; // every byte below this is accounted for
+  for (std::size_t i = 0; i < dirty.size(); ++i) {
+    const DirtyChunk& dc = dirty[i];
+    if (i > 0 && dc.index <= dirty[i - 1].index)
+      return Error{Error::Code::kParse, "delta chunks out of order"};
+    // index < size / chunk + 1 keeps index * chunk from overflowing.
+    if (dc.index > size / chunk)
       return Error{Error::Code::kParse, "delta chunk past state end"};
+    const std::size_t off = std::size_t{dc.index} * chunk;
+    if (dc.raw_size > size - off)
+      return Error{Error::Code::kParse, "delta chunk past state end"};
+    if (!dc.compressed && dc.data.size() != dc.raw_size)
+      return Error{Error::Code::kParse, "delta chunk size mismatch"};
+    if (off <= covered) covered = std::max(covered, off + dc.raw_size);
+  }
+  if (covered < size)
+    return Error{Error::Code::kParse, "delta leaves bytes past its base uncovered"};
+  return Status::success();
+}
+
+Status apply_chunks(Bytes& state, std::size_t size,
+                    std::span<const DirtyChunk> dirty, std::size_t chunk_size) {
+  if (Status st = check_chunks(dirty, state.size(), size, chunk_size); !st)
+    return st;
+  const std::size_t chunk = chunk_size == 0 ? 1 : chunk_size;
+  state.resize(size, 0);
+  for (const auto& dc : dirty) {
+    if (dc.raw_size == 0) continue;
+    std::uint8_t* dst = state.data() + std::size_t{dc.index} * chunk;
     if (dc.compressed) {
       auto raw = rle_decompress(dc.data, dc.raw_size);
       if (!raw) return raw.error();
-      std::memcpy(state.data() + off, raw.value().data(), dc.raw_size);
+      std::memcpy(dst, raw.value().data(), dc.raw_size);
     } else {
-      if (dc.data.size() != dc.raw_size)
-        return Error{Error::Code::kParse, "delta chunk size mismatch"};
-      std::memcpy(state.data() + off, dc.data.data(), dc.raw_size);
+      std::memcpy(dst, dc.data.data(), dc.raw_size);
     }
   }
   return Status::success();

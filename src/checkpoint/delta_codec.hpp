@@ -43,9 +43,14 @@ struct CodecConfig {
   bool compress = false;
 };
 
-/// FNV-1a 64-bit over a byte span. Stable across platforms; collisions are
-/// astronomically unlikely at chunk granularity, and a colliding chunk only
-/// degrades one snapshot, never the store's chain invariants.
+/// 64-bit hash of a byte span, 8 bytes per step: each little-endian word is
+/// multiplied and xored into the running hash, which is multiplied and
+/// xor-shifted; the tail bytes go in one at a time, then a final avalanche.
+/// Every step is a bijection of the running hash, so two inputs of one
+/// length that differ in a single word never collide, and the xor-shift
+/// keeps two flips of the same top bit from cancelling, as they do in FNV
+/// over words. Stable across platforms; a colliding chunk only degrades one
+/// snapshot, never the store's chain invariants.
 std::uint64_t chunk_hash(std::span<const std::uint8_t> bytes) noexcept;
 
 /// Chunk map of `state`: one hash per chunk_size-sized chunk (last partial).
@@ -68,6 +73,8 @@ struct DirtyChunk {
   std::uint32_t raw_size = 0; ///< uncompressed chunk payload size
   bool compressed = false;
   Bytes data;
+
+  bool operator==(const DirtyChunk&) const = default;
 };
 
 /// A snapshot in store form: either a self-contained full state or a delta
@@ -102,9 +109,28 @@ EncodedSnapshot encode_delta(std::uint64_t event_seq, SimTime taken_at,
 Result<Bytes> decode_full(const EncodedSnapshot& snap);
 
 /// Apply a delta snapshot on top of `state` (the materialized predecessor),
-/// in place. `state` is resized to the delta's state_size first, so both
-/// growth and truncation round-trip.
+/// in place, through apply_chunks: both growth and truncation round-trip.
 Status apply_delta(Bytes& state, const EncodedSnapshot& delta,
                    std::size_t chunk_size);
+
+/// The chunks of `state` whose bytes differ from `base` at the same offset
+/// (memcmp, no hashing), uncompressed. A chunk that does not lie wholly
+/// inside `base` is dirty, so an empty `base` yields every chunk.
+std::vector<DirtyChunk> diff_chunks(std::span<const std::uint8_t> base,
+                                    std::span<const std::uint8_t> state,
+                                    std::size_t chunk_size);
+
+/// Whether `dirty` can rebuild a state of `size` bytes from a predecessor of
+/// `base_size` bytes: chunks ascend by index, each lies inside `size` (an
+/// uncompressed one carries exactly raw_size bytes), and together they cover
+/// every byte in [base_size, size). Touches nothing.
+Status check_chunks(std::span<const DirtyChunk> dirty, std::size_t base_size,
+                    std::size_t size, std::size_t chunk_size);
+
+/// Rebuild, in place, a state of `size` bytes from `state` (its predecessor)
+/// and the chunks that changed. Runs check_chunks first, so a malformed delta
+/// is rejected before `state` is resized or written.
+Status apply_chunks(Bytes& state, std::size_t size,
+                    std::span<const DirtyChunk> dirty, std::size_t chunk_size);
 
 } // namespace legosdn::checkpoint

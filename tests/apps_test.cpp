@@ -2,12 +2,18 @@
 // monolithic controller, plus the fault-injection wrappers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_map>
+
 #include "apps/fault_injection.hpp"
 #include "apps/firewall.hpp"
 #include "apps/hub.hpp"
 #include "apps/learning_switch.hpp"
 #include "apps/load_balancer.hpp"
 #include "apps/shortest_path_router.hpp"
+#include "appvisor/isolation.hpp"
+#include "common/bytes.hpp"
+#include "common/rng.hpp"
 #include "controller/controller.hpp"
 #include "helpers.hpp"
 
@@ -118,6 +124,110 @@ TEST(LearningSwitch, ForgetsOnSwitchDownAndPortDown) {
   net->set_switch_state(DatapathId{1}, false);
   c.run();
   EXPECT_EQ(ls->lookup(DatapathId{1}, net->hosts()[0].mac), nullptr);
+}
+
+/// The table and encoder LearningSwitch had before it kept its table sorted:
+/// a hash map, copied and sorted by (dpid, mac) on every snapshot.
+struct CopyAndSortTable {
+  using Key = std::pair<std::uint64_t, std::uint64_t>; ///< (dpid, mac)
+  struct KeyHash {
+    std::size_t operator()(const Key& k) const {
+      return std::hash<std::uint64_t>{}(k.first * 0x9E3779B97F4A7C15ULL ^ k.second);
+    }
+  };
+  std::unordered_map<Key, std::uint16_t, KeyHash> table;
+
+  void apply(const ctl::Event& e) {
+    if (const auto* down = std::get_if<ctl::SwitchDown>(&e)) {
+      std::erase_if(table,
+                    [&](const auto& kv) { return kv.first.first == raw(down->dpid); });
+    } else if (const auto* ps = std::get_if<of::PortStatus>(&e)) {
+      if (!ps->desc.link_up)
+        std::erase_if(table, [&](const auto& kv) {
+          return kv.first.first == raw(ps->dpid) && kv.second == raw(ps->desc.port);
+        });
+    } else if (const auto* pin = std::get_if<of::PacketIn>(&e)) {
+      if (!pin->packet.hdr.eth_src.is_multicast())
+        table[{raw(pin->dpid), pin->packet.hdr.eth_src.to_uint64()}] = raw(pin->in_port);
+    }
+  }
+
+  std::vector<std::uint8_t> encode() const {
+    std::vector<std::pair<Key, std::uint16_t>> entries(table.begin(), table.end());
+    std::sort(entries.begin(), entries.end());
+    ByteWriter w;
+    w.u32(static_cast<std::uint32_t>(entries.size()));
+    for (const auto& [k, port] : entries) {
+      w.u64(k.first);
+      w.mac(MacAddress::from_uint64(k.second));
+      w.u16(port);
+    }
+    return std::move(w).take();
+  }
+};
+
+// Stored snapshots, the perfbench oracle and the sharded union checks all
+// compare these bytes, so the sorted table must encode exactly as before.
+TEST(LearningSwitch, SnapshotMatchesCopyAndSortEncoder) {
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    LearningSwitch ls;
+    CopyAndSortTable ref;
+    std::uint32_t xid = 1;
+    for (int i = 0; i < 3000; ++i) {
+      const DatapathId dpid{rng.below(6) + 1};
+      ctl::Event e;
+      const std::uint64_t kind = rng.below(100);
+      if (kind < 2) {
+        e = ctl::SwitchDown{dpid};
+      } else if (kind < 6) {
+        of::PortStatus ps;
+        ps.dpid = dpid;
+        ps.desc.port = PortNo{static_cast<std::uint16_t>(rng.below(8) + 1)};
+        ps.desc.link_up = rng.chance(0.3);
+        e = ps;
+      } else {
+        of::PacketIn pin;
+        pin.dpid = dpid;
+        pin.in_port = PortNo{static_cast<std::uint16_t>(rng.below(8) + 1)};
+        // A few multicast sources (never learned), a small pool that is
+        // relearned on new ports, and full-width unicast MACs.
+        std::uint64_t src = rng.next() & 0xFEFFFFFFFFFFULL;
+        if (rng.chance(0.05)) {
+          src = 0x010000000000ULL | rng.below(16);
+        } else if (rng.chance(0.5)) {
+          src = rng.below(400);
+        }
+        pin.packet = test::packet_between(MacAddress::from_uint64(src),
+                                          MacAddress::from_uint64(rng.below(400)));
+        e = pin;
+      }
+      appvisor::CollectingServiceApi api(kSimStart, &xid);
+      ls.handle_event(e, api);
+      ref.apply(e);
+      ASSERT_EQ(ls.snapshot_state(), ref.encode()) << "seed " << seed << " event " << i;
+    }
+    ASSERT_GT(ls.learned(), 100u) << "seed " << seed;
+
+    // restore_state takes records in any order and keeps the last of a
+    // duplicated key, as the hash map did; the snapshot is canonical again.
+    const auto state = ref.encode();
+    std::vector<std::array<std::uint8_t, 16>> recs((state.size() - 4) / 16);
+    std::memcpy(recs.data(), state.data() + 4, recs.size() * 16);
+    std::reverse(recs.begin(), recs.end());
+    recs.push_back(recs.front());
+    recs.back()[15] ^= 1; // same (dpid, mac), another port
+    ByteWriter w;
+    w.u32(static_cast<std::uint32_t>(recs.size()));
+    for (const auto& rec : recs) w.bytes(rec);
+    ls.reset();
+    ls.restore_state(w.data());
+    ByteReader dup(recs.back());
+    const std::uint64_t dup_dpid = dup.u64();
+    const std::uint64_t dup_mac = dup.mac().to_uint64();
+    ref.table[{dup_dpid, dup_mac}] = dup.u16();
+    EXPECT_EQ(ls.snapshot_state(), ref.encode()) << "seed " << seed;
+  }
 }
 
 // Regression (found by the scenario fuzzer): when the learned location of a

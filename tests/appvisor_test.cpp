@@ -124,14 +124,73 @@ TEST(Rpc, EventDoneRoundTripWithBundle) {
   EXPECT_EQ(decoded.value().disposition, ctl::Disposition::kStop);
   ASSERT_EQ(decoded.value().emitted.size(), 2u);
   EXPECT_EQ(decoded.value().emitted[0].get_if<of::FlowMod>()->priority, 77);
+  EXPECT_FALSE(decoded.value().state.has_value());
+
+  // The same bundle with a post-event state delta: a full one (no base), an
+  // empty one, growth and shrink. Each rebuilds the new state on its base.
+  std::vector<std::uint8_t> before(3000);
+  for (std::size_t i = 0; i < before.size(); ++i)
+    before[i] = static_cast<std::uint8_t>(i * 13);
+  std::vector<std::uint8_t> grown = before;
+  grown.resize(5000, 0x42);
+  const std::vector<std::uint8_t> shrunk(before.begin(), before.begin() + 1500);
+  const struct {
+    std::uint64_t base;
+    std::vector<std::uint8_t> after;
+  } kDeltas[] = {{0, before}, {7, before}, {7, grown}, {7, shrunk}};
+  for (const auto& [base, after] : kDeltas) {
+    const std::vector<std::uint8_t> from = base ? before : std::vector<std::uint8_t>{};
+    p.state = StateDelta{base, static_cast<std::uint32_t>(after.size()),
+                         checkpoint::diff_chunks(from, after, kStateChunk)};
+    decoded = decode_event_done(encode_event_done(p));
+    ASSERT_TRUE(decoded.ok());
+    ASSERT_EQ(decoded.value().emitted.size(), 2u);
+    ASSERT_EQ(decoded.value().state, p.state)
+        << "base " << base << " size " << after.size();
+    std::vector<std::uint8_t> mirror = from;
+    ASSERT_TRUE(checkpoint::apply_chunks(mirror, decoded.value().state->size,
+                                         decoded.value().state->dirty, kStateChunk));
+    EXPECT_EQ(mirror, after);
+  }
+}
+
+TEST(Rpc, EventDoneDropsMalformedDelta) {
+  std::vector<std::uint8_t> state(2500, 0x11);
+  EventDonePayload p;
+  p.emitted.push_back({1, of::BarrierRequest{DatapathId{5}}});
+  const auto full = checkpoint::diff_chunks({}, state, kStateChunk); // chunks 0, 1, 2
+  auto with = [&](std::uint64_t base, std::uint32_t size, auto dirty) {
+    p.state = StateDelta{base, size, std::move(dirty)};
+    auto decoded = decode_event_done(encode_event_done(p));
+    // The rest of the payload survives; only the delta is dropped.
+    EXPECT_TRUE(decoded.ok());
+    if (!decoded.ok()) return false;
+    EXPECT_EQ(decoded.value().emitted.size(), 1u);
+    return decoded.value().state.has_value();
+  };
+  EXPECT_TRUE(with(0, 2500, full));
+  EXPECT_TRUE(with(9, 2500, full));
+  EXPECT_FALSE(with(9, 2400, full));  // last chunk ends past `size`
+  auto far = full;
+  far[2].index = 40;
+  EXPECT_FALSE(with(9, 2500, far));   // chunk starts past `size`
+  auto gap = full;
+  gap.erase(gap.begin() + 1);
+  EXPECT_TRUE(with(9, 2500, gap));    // a base supplies bytes 1024..2047
+  EXPECT_FALSE(with(0, 2500, gap));   // without one, they are missing
+  EXPECT_FALSE(with(0, 2500, std::vector<checkpoint::DirtyChunk>{}));
+  EXPECT_TRUE(with(0, 0, std::vector<checkpoint::DirtyChunk>{}));
 }
 
 TEST(Rpc, DeliverPayloadRoundTrip) {
-  DeliverEventPayload p{123456789, ctl::Event{sample_packet_in()}};
-  auto decoded = decode_deliver(encode_deliver(p));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.value().now_ns, 123456789);
-  EXPECT_EQ(decoded.value().event, p.event);
+  for (bool ship : {false, true}) {
+    DeliverEventPayload p{123456789, ctl::Event{sample_packet_in()}, ship};
+    auto decoded = decode_deliver(encode_deliver(p));
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(decoded.value().now_ns, 123456789);
+    EXPECT_EQ(decoded.value().event, p.event);
+    EXPECT_EQ(decoded.value().ship_state, ship);
+  }
 }
 
 TEST(Rpc, MalformedFramesRejected) {

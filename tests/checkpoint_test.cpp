@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <numeric>
 #include <thread>
+#include <unordered_set>
 
 #include "checkpoint/checkpoint_worker.hpp"
 #include "checkpoint/delta_codec.hpp"
@@ -145,6 +146,116 @@ TEST(DeltaCodec, CompressedDeltaRoundTrips) {
   Bytes composed = base;
   ASSERT_TRUE(apply_delta(composed, delta, cfg.chunk_size).ok());
   EXPECT_EQ(composed, next);
+}
+
+// Every single-bit flip of one 4 KiB chunk, top-bit flips in pairs of its
+// words, and a seeded corpus of random chunks: no two hash alike.
+TEST(DeltaCodec, ChunkHashHasNoCollisionsOnSeededCorpus) {
+  constexpr std::size_t kChunk = 4096;
+  constexpr std::size_t kWords = kChunk / 8;
+  std::unordered_set<std::uint64_t> seen;
+  std::size_t hashed = 0;
+  auto add = [&](const Bytes& c) {
+    seen.insert(chunk_hash(c));
+    hashed += 1;
+  };
+  for (std::uint64_t s = 1; s <= 256; ++s) add(random_bytes(kChunk, s));
+
+  const Bytes base = random_bytes(kChunk, 9999);
+  Bytes c = base;
+  for (std::size_t bit = 0; bit < kChunk * 8; ++bit) {
+    const auto mask = static_cast<std::uint8_t>(1u << (bit % 8));
+    c[bit / 8] ^= mask;
+    add(c);
+    c[bit / 8] ^= mask;
+  }
+
+  // The top bit of little-endian word w is bit 7 of byte 8w+7. FNV over
+  // words collides on every such pair: the first flip leaves the running
+  // hash differing in bit 63 alone (an odd multiply keeps it there), and the
+  // second flip cancels it.
+  auto fnv_over_words = [](const Bytes& b) {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (std::size_t w = 0; w < b.size() / 8; ++w) {
+      std::uint64_t word = 0;
+      for (std::size_t i = 8; i-- > 0;) word = (word << 8) | b[8 * w + i];
+      h = (h ^ word) * 0x100000001b3ull;
+    }
+    return h;
+  };
+  for (std::size_t i = 0; i < kWords; ++i) {
+    for (std::size_t j = i + 1; j < kWords; ++j) {
+      c[8 * i + 7] ^= 0x80;
+      c[8 * j + 7] ^= 0x80;
+      if (i == 0 && j == 1) {
+        ASSERT_EQ(fnv_over_words(c), fnv_over_words(base));
+      }
+      add(c);
+      c[8 * i + 7] ^= 0x80;
+      c[8 * j + 7] ^= 0x80;
+    }
+  }
+  EXPECT_EQ(hashed, 256u + kChunk * 8 + kWords * (kWords - 1) / 2);
+  EXPECT_EQ(seen.size(), hashed) << hashed - seen.size() << " collisions";
+}
+
+TEST(DeltaCodec, DiffChunksRebuildsGrowthAndShrink) {
+  constexpr std::size_t kChunk = 1024;
+  const Bytes base = random_bytes(5000, 1);
+  Bytes one_byte = base;
+  one_byte[2100] ^= 1;
+  Bytes grown = base;
+  grown.resize(7000, 0x33);
+  const Bytes shrunk(base.begin(), base.begin() + 2500); // mid-chunk
+  for (const Bytes& next : {base, one_byte, grown, shrunk, Bytes{}}) {
+    const auto dirty = diff_chunks(base, next, kChunk);
+    Bytes out = base;
+    ASSERT_TRUE(apply_chunks(out, next.size(), dirty, kChunk).ok());
+    EXPECT_EQ(out, next);
+  }
+  EXPECT_TRUE(diff_chunks(base, base, kChunk).empty());
+  ASSERT_EQ(diff_chunks(base, one_byte, kChunk).size(), 1u);
+  EXPECT_EQ(diff_chunks(base, one_byte, kChunk)[0].index, 2u);
+  EXPECT_EQ(diff_chunks(base, grown, kChunk).size(), 3u); // tail 4 + new 5, 6
+  EXPECT_TRUE(diff_chunks(base, shrunk, kChunk).empty()); // truncation only
+  EXPECT_EQ(diff_chunks({}, base, kChunk).size(), 5u);    // no base: all
+}
+
+TEST(DeltaCodec, MalformedChunksRejectedBeforeStateIsTouched) {
+  constexpr std::size_t kChunk = 1024;
+  const Bytes base = random_bytes(3000, 2);
+  const Bytes next = random_bytes(5000, 3);
+  const auto good = diff_chunks(base, next, kChunk); // chunks 0..4
+  ASSERT_EQ(good.size(), 5u);
+
+  std::vector<std::pair<const char*, std::vector<DirtyChunk>>> bad;
+  auto past_end = good;
+  past_end[4].index = 9;
+  bad.push_back({"chunk outside size", past_end});
+  auto huge_index = good;
+  huge_index[4].index = 0xFFFFFFFFu;
+  bad.push_back({"index overflow", huge_index});
+  auto uncovered = good;
+  uncovered.erase(uncovered.begin() + 3); // bytes 3072..4095 lie past the base
+  bad.push_back({"growth uncovered", uncovered});
+  auto unordered = good;
+  std::swap(unordered[1], unordered[2]);
+  bad.push_back({"out of order", unordered});
+  auto short_data = good;
+  short_data[1].data.pop_back();
+  bad.push_back({"data shorter than raw_size", short_data});
+  for (const auto& [what, dirty] : bad) {
+    Bytes state = base;
+    EXPECT_FALSE(apply_chunks(state, next.size(), dirty, kChunk).ok()) << what;
+    EXPECT_EQ(state, base) << what << ": state touched";
+  }
+  // A delta that rewrites bytes inside the base alone needs no coverage.
+  Bytes state = base;
+  const std::vector<DirtyChunk> inside{good[1]};
+  ASSERT_TRUE(apply_chunks(state, base.size(), inside, kChunk).ok());
+  Bytes expect = base;
+  std::copy(next.begin() + 1024, next.begin() + 2048, expect.begin() + 1024);
+  EXPECT_EQ(state, expect);
 }
 
 // --- snapshot store ---

@@ -11,6 +11,7 @@
 
 #include "appvisor/faulty_channel.hpp"
 #include "appvisor/process_domain.hpp"
+#include "apps/fault_injection.hpp"
 #include "apps/hub.hpp"
 #include "common/rng.hpp"
 #include "helpers.hpp"
@@ -272,8 +273,10 @@ TEST(LossyRpc, ExchangesCompleteOrTimeOutCleanlyUnderLoss) {
   d.shutdown();
 }
 
-// Snapshot/restore across a lossy channel: multi-chunk frames (the snapshot
-// blob) survive drop+dup+reorder byte-identically.
+// Snapshot/restore across a lossy channel: multi-chunk frames survive
+// drop+dup+reorder byte-identically. 64 KiB of state makes every restore
+// request and snapshot reply a two-chunk frame (the restore leaves the
+// proxy's mirror stale, so each snapshot() is a real kSnapshotRequest).
 TEST(LossyRpc, SnapshotSurvivesLossyChannel) {
   ProcessDomain::Config cfg;
   cfg.faults.drop = 0.08;
@@ -283,18 +286,39 @@ TEST(LossyRpc, SnapshotSurvivesLossyChannel) {
   cfg.retry_initial_timeout_ms = 20;
   cfg.retry_max = 10;
 
-  ProcessDomain d(std::make_shared<apps::Hub>(), cfg);
+  constexpr std::size_t kState = 64 * 1024;
+  static_assert(kState > UdpChannel::kChunkPayload);
+  ProcessDomain d(std::make_shared<apps::StatefulApp>(kState), cfg);
   ASSERT_TRUE(d.start());
+  // Fed the same delivered events as the stub's app.
+  auto reference = std::make_unique<apps::StatefulApp>(kState);
+  std::uint32_t xid = 1;
+  int compared = 0;
   for (int i = 0; i < 50; ++i) {
+    const ctl::Event ev{sample_packet_in()};
+    if (!d.deliver(ev, kSimStart).ok()) {
+      ASSERT_TRUE(d.restart());
+      reference = std::make_unique<apps::StatefulApp>(kState);
+      continue;
+    }
+    CollectingServiceApi api(kSimStart, &xid);
+    reference->handle_event(ev, api);
     auto snap = d.snapshot();
     if (!snap.ok()) {
       EXPECT_EQ(snap.error().code, Error::Code::kTimeout) << "iter " << i;
       ASSERT_TRUE(d.restart());
+      reference = std::make_unique<apps::StatefulApp>(kState);
       continue;
     }
-    ASSERT_TRUE(d.restore(snap.value()).ok() ||
-                d.restart().ok()); // clean failure is allowed; corruption is not
+    ASSERT_TRUE(snap.value() == reference->snapshot_state())
+        << "iter " << i << ": snapshot corrupted in transit";
+    compared += 1;
+    if (!d.restore(snap.value()).ok()) { // clean failure is allowed; corruption is not
+      ASSERT_TRUE(d.restart());
+      reference = std::make_unique<apps::StatefulApp>(kState);
+    }
   }
+  EXPECT_GT(compared, 25);
   d.shutdown();
 }
 

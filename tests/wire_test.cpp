@@ -125,12 +125,34 @@ ctl::Event canonical(ctl::Event e) {
   return e;
 }
 
+/// A post-event state delta of one of four shapes: full (no base), empty,
+/// growth or shrink, over states of up to ~3 chunks.
+appvisor::StateDelta random_delta(Rng& rng) {
+  std::vector<std::uint8_t> before(rng.below(2500));
+  for (auto& b : before) b = static_cast<std::uint8_t>(rng.below(4));
+  std::vector<std::uint8_t> after = before;
+  for (std::size_t n = rng.below(4); n > 0 && !after.empty(); --n)
+    after[rng.below(after.size())] ^= 0xFF;
+  appvisor::StateDelta d;
+  d.base = rng.below(1000) + 1;
+  switch (rng.below(4)) {
+    case 0: d.base = 0; before.clear(); break;          // full
+    case 1: after = before; break;                      // empty
+    case 2: after.resize(after.size() + rng.below(1500), 7); break; // growth
+    case 3: after.resize(rng.below(after.size() + 1)); break;       // shrink
+  }
+  d.size = static_cast<std::uint32_t>(after.size());
+  d.dirty = checkpoint::diff_chunks(before, after, appvisor::kStateChunk);
+  return d;
+}
+
 appvisor::EventDonePayload random_bundle(test::MessageGen& gen) {
   appvisor::EventDonePayload p;
   p.disposition =
       gen.rng().chance(0.5) ? ctl::Disposition::kStop : ctl::Disposition::kContinue;
   for (std::size_t n = gen.rng().below(5); n > 0; --n)
     p.emitted.push_back(gen.random_message());
+  if (gen.rng().chance(0.5)) p.state = random_delta(gen.rng());
   return p;
 }
 
@@ -171,12 +193,14 @@ TEST_P(CodecRoundTrip, RandomMessagesRoundTrip) {
     for (std::size_t k = 0; k < done.emitted.size(); ++k)
       EXPECT_EQ(got.value().emitted[k], canonicalize(done.emitted[k]))
           << "seed=" << GetParam() << " i=" << i << " k=" << k;
+    EXPECT_TRUE(got.value().state == done.state) << "seed=" << GetParam() << " i=" << i;
 
     const appvisor::DeliverEventPayload deliver{static_cast<std::int64_t>(i),
-                                                random_event(gen)};
+                                                random_event(gen), gen.rng().chance(0.5)};
     auto ev = appvisor::decode_deliver(appvisor::encode_deliver(deliver));
     ASSERT_TRUE(ev.ok()) << ev.error().to_string();
     EXPECT_EQ(ev.value().now_ns, deliver.now_ns);
+    EXPECT_EQ(ev.value().ship_state, deliver.ship_state);
     EXPECT_EQ(ev.value().event, canonical(deliver.event))
         << "seed=" << GetParam() << " i=" << i << " " << ctl::describe(deliver.event);
   }
@@ -223,8 +247,8 @@ const DecoderCase kDecoders[] = {
      [](std::span<const std::uint8_t> b) { return appvisor::decode_event_done(b).ok(); }},
     {"appvisor::decode_deliver",
      [](test::MessageGen& g) {
-       return appvisor::encode_deliver(
-           {static_cast<std::int64_t>(g.rng().next()), random_event(g)});
+       return appvisor::encode_deliver({static_cast<std::int64_t>(g.rng().next()),
+                                        random_event(g), g.rng().chance(0.5)});
      },
      [](std::span<const std::uint8_t> b) { return appvisor::decode_deliver(b).ok(); }},
     {"lego::decode_record",

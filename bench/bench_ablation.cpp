@@ -9,6 +9,13 @@
 //
 // This quantifies the paper's implicit cost model: which abstraction is the
 // expensive one, and which are (almost) free.
+//
+// LEGOSDN_BENCH_SMOKE=1 shrinks the run (150 flows, one round), and
+// LEGOSDN_BENCH_JSON names a file for the JSON rows. Besides flows/ms each
+// row reports txns_committed and verify_overlays (verifying transactions
+// checked against a pending-rule overlay because their mods had not reached
+// the switches). scripts/check_bench.py gates those counts: undo-log mode
+// verifies against the live tables, delay-buffer mode needs the overlay.
 #include "apps/learning_switch.hpp"
 #include "bench_util.hpp"
 #include "legosdn/lego_controller.hpp"
@@ -22,8 +29,12 @@ struct AblationResult {
   double flows_per_ms = 0;
   std::uint64_t events = 0;
   std::uint64_t checkpoints = 0;
+  std::uint64_t txns_committed = 0;
+  std::uint64_t verify_overlays = 0;
   double delivery = 0;
 };
+
+const int kFlows = bench::iters(1200, 150);
 
 AblationResult run(const lego::LegoConfig& cfg) {
   auto net = netsim::Network::star(4, 2);
@@ -37,7 +48,6 @@ AblationResult run(const lego::LegoConfig& cfg) {
   std::uint64_t sent = 0, ok = 0;
   bench::Stopwatch sw;
   sw.start();
-  constexpr int kFlows = 1200;
   for (int i = 0; i < kFlows; ++i) {
     const netsim::Flow f = gen.next_flow();
     const auto before = net->host_by_mac(f.dst)->rx_packets;
@@ -52,7 +62,10 @@ AblationResult run(const lego::LegoConfig& cfg) {
   AblationResult res;
   res.events = c.stats().events_dispatched;
   res.flows_per_ms = kFlows / ms;
-  res.checkpoints = c.lego_stats().checkpoints;
+  const auto ls = c.lego_stats();
+  res.checkpoints = ls.checkpoints;
+  res.txns_committed = ls.txns_committed;
+  res.verify_overlays = ls.verify_overlays;
   res.delivery = double(ok) / sent;
   return res;
 }
@@ -61,43 +74,45 @@ AblationResult run(const lego::LegoConfig& cfg) {
 
 int main() {
   bench::section("Ablation: per-mechanism cost on a clean workload");
-  bench::note("star(4)x2 hosts, 1200 random flows, learning switch, no faults.");
+  bench::note("star(4)x2 hosts, " + std::to_string(kFlows) +
+              " random flows, learning switch, no faults.");
   std::printf("\n");
 
   struct Config {
+    const char* key; ///< stable row id in the JSON (check_bench.py reads it)
     const char* label;
     lego::LegoConfig cfg;
   };
   std::vector<Config> configs;
   {
     lego::LegoConfig base; // everything on, per-event checkpoints
-    configs.push_back({"full (per-event ckpt, verify, barriers)", base});
+    configs.push_back({"full", "full (per-event ckpt, verify, barriers)", base});
   }
   {
     lego::LegoConfig c;
     c.byzantine_detection = false;
-    configs.push_back({"- byzantine verification", c});
+    configs.push_back({"no_verify", "- byzantine verification", c});
   }
   {
     lego::LegoConfig c;
     c.netlog.barrier_on_commit = false;
-    configs.push_back({"- commit barriers", c});
+    configs.push_back({"no_barriers", "- commit barriers", c});
   }
   {
     lego::LegoConfig c;
     c.checkpoint_every = 10;
-    configs.push_back({"periodic checkpoints (k=10)", c});
+    configs.push_back({"periodic_ckpt", "periodic checkpoints (k=10)", c});
   }
   {
     lego::LegoConfig c;
     c.checkpoint_every = 1000000; // effectively off
     c.replay_on_restore = false;
-    configs.push_back({"- checkpoints (availability at risk)", c});
+    configs.push_back({"no_ckpt", "- checkpoints (availability at risk)", c});
   }
   {
     lego::LegoConfig c;
     c.netlog.mode = netlog::Mode::kDelayBuffer;
-    configs.push_back({"delay-buffer NetLog (paper prototype)", c});
+    configs.push_back({"delay_buffer", "delay-buffer NetLog (paper prototype)", c});
   }
   {
     lego::LegoConfig c;
@@ -105,32 +120,56 @@ int main() {
     c.netlog.barrier_on_commit = false;
     c.checkpoint_every = 1000000;
     c.replay_on_restore = false;
-    configs.push_back({"bare isolation only", c});
+    configs.push_back({"bare", "bare isolation only", c});
   }
 
   bench::Table table({"configuration", "flows/ms", "events", "checkpoints",
-                      "delivery"});
-  run(configs[0].cfg); // warm-up: page cache + frequency scaling settle
-  double base_rate = 0;
-  for (const auto& [label, cfg] : configs) {
-    // Two measured repetitions, keep the faster (noise is one-sided).
-    AblationResult r = run(cfg);
-    const AblationResult r2 = run(cfg);
-    if (r2.flows_per_ms > r.flows_per_ms) r = r2;
-    if (base_rate == 0) base_rate = r.flows_per_ms;
-    table.row({label, bench::fmt(r.flows_per_ms, 1) + " (" +
-                          bench::fmt(r.flows_per_ms / base_rate, 2) + "x)",
-               std::to_string(r.events), std::to_string(r.checkpoints),
-               bench::fmt_pct(r.delivery)});
+                      "overlays", "delivery"});
+  bench::Json j;
+  j.begin_obj().kv("bench", std::string("ablation"));
+  j.kv_bool("smoke", bench::smoke());
+  j.kv("flows", static_cast<std::uint64_t>(kFlows));
+  j.begin_arr("rows");
+  // Warm-up: page cache and frequency scaling settle.
+  if (!bench::smoke()) run(configs[0].cfg);
+  // Three rounds over every configuration, each keeping its fastest run:
+  // noise is one-sided, and interleaving spreads a slow spell of the host
+  // over all rows instead of skewing the one measured during it.
+  std::vector<AblationResult> best(configs.size());
+  for (int round = 0; round < (bench::smoke() ? 1 : 3); ++round) {
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      const AblationResult r = run(configs[i].cfg);
+      if (r.flows_per_ms > best[i].flows_per_ms) best[i] = r;
+    }
   }
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const AblationResult& r = best[i];
+    const double vs_full = r.flows_per_ms / best[0].flows_per_ms;
+    table.row({configs[i].label,
+               bench::fmt(r.flows_per_ms, 1) + " (" + bench::fmt(vs_full, 2) + "x)",
+               std::to_string(r.events), std::to_string(r.checkpoints),
+               std::to_string(r.verify_overlays), bench::fmt_pct(r.delivery)});
+    j.begin_obj()
+        .kv("config", std::string(configs[i].key))
+        .kv("flows_per_ms", r.flows_per_ms)
+        .kv("vs_full", vs_full)
+        .kv("events", r.events)
+        .kv("txns_committed", r.txns_committed)
+        .kv("verify_overlays", r.verify_overlays)
+        .kv("delivery", r.delivery, 4)
+        .end_obj();
+  }
+  j.end_arr().end_obj();
   table.print();
   std::printf("\n");
-  bench::note("Shape: with VeriFlow-style incremental verification (only the rules a");
-  bench::note("transaction wrote are re-traced) the full stack costs ~2x bare isolation,");
-  bench::note("split between verification (~1.4x) and per-event checkpointing (~1.1x);");
-  bench::note("periodic checkpoints (k=10, the §5 optimization) reclaim the checkpoint");
-  bench::note("share. Barriers and the undo log are in the noise. A naive whole-network");
-  bench::note("checker, by contrast, costs ~50x — incremental checking is what makes");
-  bench::note("per-transaction verification deployable at all.");
+  bench::note("Shape: verification traces from exactly the rules a transaction");
+  bench::note("wrote (VeriFlow-style). In undo-log mode those rules are already in the");
+  bench::note("switch tables, so the checker reads them live and verification is in the");
+  bench::note("noise (~1.0x). Delay-buffer NetLog holds them until commit, so every");
+  bench::note("verifying transaction copies the touched tables to overlay the pending");
+  bench::note("rules: that row runs at ~0.4x. Periodic checkpoints (k=10, the §5");
+  bench::note("optimization) reclaim the per-event checkpoint share; barriers are in");
+  bench::note("the noise.");
+  bench::emit_json(j);
   return 0;
 }

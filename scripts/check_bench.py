@@ -212,6 +212,40 @@ def check_isolation_latency(path: Path, doc) -> None:
              "(> 1.0): the snapshot is not riding on the deliver's reply")
 
 
+def check_ablation(path: Path, doc) -> None:
+    """Schema for BENCH_ablation.json (experiment A1): one row per
+    configuration with flows_per_ms, vs_full, txns_committed and
+    verify_overlays. Undo-log applies reach the switches before verification,
+    so the full row must commit verified transactions without building a
+    single pending-rule overlay; delay-buffer NetLog holds its flow-mods
+    until commit, so its row must build overlays. Counts, not timings, so
+    they hold on any runner."""
+    rows = doc.get("rows")
+    if not isinstance(rows, list) or not rows:
+        fail(f"{path}: 'rows' must be a non-empty list")
+    by_config = {}
+    for i, row in enumerate(rows):
+        if not isinstance(row.get("config"), str):
+            fail(f"{path}: rows[{i}].config must be a string")
+        for key in ("flows_per_ms", "vs_full", "txns_committed", "verify_overlays"):
+            if not isinstance(row.get(key), (int, float)):
+                fail(f"{path}: rows[{i}].{key} must be numeric")
+        by_config[row["config"]] = row
+    for config in ("full", "delay_buffer"):
+        if config not in by_config:
+            fail(f"{path}: missing row for configuration {config!r}")
+    full = by_config["full"]
+    if full["txns_committed"] <= 0:
+        fail(f"{path}: the full row committed no transactions")
+    if full["verify_overlays"] != 0:
+        fail(f"{path}: the full (undo-log) row built {full['verify_overlays']} "
+             "pending-rule overlays; its flow-mods had landed, so verification "
+             "should read the live tables")
+    if by_config["delay_buffer"]["verify_overlays"] <= 0:
+        fail(f"{path}: the delay-buffer row built no pending-rule overlay; its "
+             "flow-mods are held until commit, so verification must overlay them")
+
+
 def headline_speedup(path: Path, doc) -> float | None:
     headline = doc.get("headline")
     if headline is None:
@@ -238,6 +272,8 @@ def check_file(path: Path, baseline_dir: Path, max_regression: float) -> str:
         check_failover(path, doc)
     if doc.get("bench") == "isolation_latency":
         check_isolation_latency(path, doc)
+    if doc.get("bench") == "ablation":
+        check_ablation(path, doc)
 
     speedup = headline_speedup(path, doc)
     if speedup is None:

@@ -23,7 +23,7 @@
 #                (wire10_test opens no sockets; every ctest job runs it.)
 #   bench-smoke  run the JSON-emitting benches (checkpoint, isolation
 #                latency, flow table, netlog, micro, throughput, southbound,
-#                failover) with tiny iteration counts
+#                failover, ablation) with tiny iteration counts
 #                (LEGOSDN_BENCH_SMOKE=1), assert exit 0 and
 #                that each emits parseable JSON into bench-out/, then gate
 #                them with scripts/check_bench.py against the committed
@@ -97,7 +97,7 @@ cmd_socket_tests() {
 cmd_bench_smoke() {
   local dir="build"
   [ -d build-ci ] && dir="build-ci"
-  local benches="bench_checkpoint bench_isolation_latency bench_flow_table bench_netlog bench_micro bench_throughput bench_southbound bench_failover"
+  local benches="bench_checkpoint bench_isolation_latency bench_flow_table bench_netlog bench_micro bench_throughput bench_southbound bench_failover bench_ablation"
   # shellcheck disable=SC2086
   cmake --build "$dir" -j "$(nproc)" --target $benches
   mkdir -p bench-out

@@ -7,8 +7,9 @@ namespace legosdn::invariant {
 namespace {
 
 /// (switch, ingress port, header) identity for symbolic-trace loop
-/// detection. Hashed because check_rules re-traces every rule after each
-/// transaction, so trace() is on the per-message verification hot path.
+/// detection. Hashed because every verifying transaction traces from each
+/// rule it wrote and from every reachability pair, so trace() is on the
+/// per-transaction verification hot path.
 struct VisitKey {
   std::uint64_t dpid = 0;
   std::uint16_t port = 0;
@@ -64,7 +65,12 @@ of::PacketHeader representative_header(const of::Match& m) {
 }
 
 TraceResult InvariantChecker::trace(PortLocator ingress,
-                                    const of::PacketHeader& hdr0) const {
+                                    const of::PacketHeader& hdr) const {
+  return trace(ingress, hdr, nullptr);
+}
+
+TraceResult InvariantChecker::trace(PortLocator ingress, const of::PacketHeader& hdr0,
+                                    const Overlay* overlay) const {
   TraceResult res;
   // Work item: a copy of the packet at a switch ingress. Floods fan out;
   // the trace reports the *worst* outcome across all copies, where
@@ -121,7 +127,8 @@ TraceResult InvariantChecker::trace(PortLocator ingress,
       continue;
     }
     res.path.push_back(it.at);
-    const netsim::FlowEntry* e = table_of(it.at.dpid, *sw).peek(it.at.port, it.hdr);
+    const netsim::FlowEntry* e =
+        table_of(overlay, it.at.dpid, *sw).peek(it.at.port, it.hdr);
     if (!e) {
       acc = worse(acc, TraceOutcome::kMiss);
       res.last_switch = it.at.dpid;
@@ -212,6 +219,7 @@ TraceResult InvariantChecker::trace(PortLocator ingress,
 void InvariantChecker::check_entry(const InvariantConfig& cfg, DatapathId dpid,
                                    const netsim::SimSwitch& sw,
                                    const netsim::FlowEntry& e,
+                                   const Overlay* overlay,
                                    std::vector<Violation>& out) const {
   const of::PacketHeader hdr = representative_header(e.match);
   // Determine candidate ingress ports for this rule.
@@ -224,8 +232,8 @@ void InvariantChecker::check_entry(const InvariantConfig& cfg, DatapathId dpid,
   }
   for (const PortNo in : ingresses) {
     // Only trace if this entry is actually the winner for the header.
-    if (table_of(dpid, sw).peek(in, hdr) != &e) continue;
-    const TraceResult tr = trace({dpid, in}, hdr);
+    if (table_of(overlay, dpid, sw).peek(in, hdr) != &e) continue;
+    const TraceResult tr = trace({dpid, in}, hdr, overlay);
     if (cfg.check_loops && tr.outcome == TraceOutcome::kLooped) {
       out.push_back({InvariantKind::kNoLoops, tr.last_switch,
                      "rule " + e.match.to_string() + " at s" +
@@ -242,49 +250,48 @@ void InvariantChecker::check_entry(const InvariantConfig& cfg, DatapathId dpid,
 }
 
 void InvariantChecker::check_rules(const InvariantConfig& cfg,
-                                   std::span<const DatapathId> scope,
                                    std::vector<Violation>& out) const {
-  const std::vector<DatapathId> all =
-      scope.empty() ? net_.switch_ids() : std::vector<DatapathId>(scope.begin(), scope.end());
-  for (const DatapathId dpid : all) {
+  for (const DatapathId dpid : net_.switch_ids()) {
     const netsim::SimSwitch* sw = net_.switch_at(dpid);
     if (!sw || !sw->up()) continue;
-    for (const auto& e : sw->table().entries()) check_entry(cfg, dpid, *sw, e, out);
+    for (const auto& e : sw->table().entries())
+      check_entry(cfg, dpid, *sw, e, nullptr, out);
   }
 }
 
-const netsim::FlowTable& InvariantChecker::table_of(
-    DatapathId dpid, const netsim::SimSwitch& sw) const {
-  if (overlay_) {
-    if (auto it = overlay_->find(dpid); it != overlay_->end()) return it->second;
+const netsim::FlowTable& InvariantChecker::table_of(const Overlay* overlay,
+                                                    DatapathId dpid,
+                                                    const netsim::SimSwitch& sw) {
+  if (overlay) {
+    if (auto it = overlay->find(dpid); it != overlay->end()) return it->second;
   }
   return sw.table();
 }
 
 std::vector<Violation> InvariantChecker::check_flow_mods(
-    const InvariantConfig& cfg, std::span<const of::FlowMod> mods) const {
+    const InvariantConfig& cfg, std::span<const of::FlowMod> mods,
+    bool pending) const {
   std::vector<Violation> out;
   if (!cfg.check_loops && !cfg.check_black_holes) return out;
 
-  // The mods may not have reached the switches yet (delay-buffer NetLog holds
-  // the whole bundle until commit), so verify against the *would-be* state:
-  // per touched switch, a copy of the live table with every pending mod
-  // applied. Traces consult the overlay for these switches and the live
-  // tables elsewhere — for already-applied mods (undo-log mode) the overlay
-  // is byte-equivalent to the live table, so both modes share this path.
-  std::unordered_map<DatapathId, netsim::FlowTable> overlay;
-  for (const auto& mod : mods) {
-    const netsim::SimSwitch* sw = net_.switch_at(mod.dpid);
-    if (!sw || !sw->up()) continue;
-    auto [it, inserted] = overlay.try_emplace(mod.dpid);
-    if (inserted) {
-      // FlowTable owns its classifier index and is move-only; rebuild the
-      // live table entry-by-entry (restore preserves all runtime state).
-      for (const auto& e : sw->table().entries()) it->second.restore(e);
+  // Pending mods have not reached the switches, so verify against the
+  // *would-be* state: per touched switch, a copy of the live table with
+  // every mod applied. Traces read the copies there and the live tables
+  // elsewhere. Landed mods need no copy: the live tables are that state.
+  Overlay overlay;
+  if (pending) {
+    for (const auto& mod : mods) {
+      const netsim::SimSwitch* sw = net_.switch_at(mod.dpid);
+      if (!sw || !sw->up()) continue;
+      auto [it, inserted] = overlay.try_emplace(mod.dpid);
+      if (inserted) {
+        // FlowTable owns its classifier index and is move-only; rebuild the
+        // live table entry-by-entry (restore preserves all runtime state).
+        for (const auto& e : sw->table().entries()) it->second.restore(e);
+      }
+      it->second.apply(mod, net_.now());
     }
-    it->second.apply(mod, net_.now());
   }
-  overlay_ = &overlay;
 
   for (const auto& mod : mods) {
     if (mod.command == of::FlowModCommand::kDelete ||
@@ -292,19 +299,19 @@ std::vector<Violation> InvariantChecker::check_flow_mods(
       continue; // removals cannot add rule-level violations
     const netsim::SimSwitch* sw = net_.switch_at(mod.dpid);
     if (!sw || !sw->up()) continue;
-    const netsim::FlowTable& table = table_of(mod.dpid, *sw);
+    const netsim::FlowTable& table = table_of(&overlay, mod.dpid, *sw);
     // Non-strict modify touches every covered entry; re-check them all.
     if (mod.command == of::FlowModCommand::kModify) {
       for (const auto& e : table.entries()) {
-        if (mod.match.subsumes(e.match)) check_entry(cfg, mod.dpid, *sw, e, out);
+        if (mod.match.subsumes(e.match))
+          check_entry(cfg, mod.dpid, *sw, e, &overlay, out);
       }
       continue;
     }
     if (const netsim::FlowEntry* e = table.find_strict(mod.match, mod.priority)) {
-      check_entry(cfg, mod.dpid, *sw, *e, out);
+      check_entry(cfg, mod.dpid, *sw, *e, &overlay, out);
     }
   }
-  overlay_ = nullptr;
   return out;
 }
 
@@ -355,15 +362,7 @@ void InvariantChecker::check_reachability(const InvariantConfig& cfg,
 
 std::vector<Violation> InvariantChecker::check(const InvariantConfig& cfg) const {
   std::vector<Violation> out;
-  if (cfg.check_loops || cfg.check_black_holes) check_rules(cfg, {}, out);
-  check_reachability(cfg, out);
-  return out;
-}
-
-std::vector<Violation> InvariantChecker::check_scoped(
-    const InvariantConfig& cfg, std::span<const DatapathId> dpids) const {
-  std::vector<Violation> out;
-  if (cfg.check_loops || cfg.check_black_holes) check_rules(cfg, dpids, out);
+  if (cfg.check_loops || cfg.check_black_holes) check_rules(cfg, out);
   check_reachability(cfg, out);
   return out;
 }

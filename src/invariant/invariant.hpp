@@ -74,24 +74,24 @@ public:
   /// Run all configured checks over the currently installed rules.
   std::vector<Violation> check(const InvariantConfig& cfg) const;
 
-  /// Incremental variant (the VeriFlow idea): only rules installed at the
-  /// given switches are used as trace *origins* — their traces still walk the
-  /// whole network, so loops and black-holes that involve other switches are
-  /// found — plus the configured reachability pairs. This is what makes
-  /// per-transaction verification affordable: a transaction only needs its
-  /// own rules re-verified, not the entire network's.
-  std::vector<Violation> check_scoped(const InvariantConfig& cfg,
-                                      std::span<const DatapathId> dpids) const;
-
-  /// Fully incremental check over exactly the rules a transaction wrote
-  /// (adds/modifies). Sound for new violations: a loop introduced by the
-  /// transaction must pass through one of its rules, so tracing from those
-  /// rules finds it; a new black-hole can only be one of those rules; and
-  /// reachability (which old rules can lose through shadowing) is covered by
-  /// the caller's global reachability diff. Pre-existing violations are
-  /// never attributed.
+  /// Incremental check over exactly the rules a transaction wrote
+  /// (adds/modifies), the VeriFlow idea. Sound for new violations: a loop
+  /// introduced by the transaction must pass through one of its rules, so
+  /// tracing from those rules finds it; a new black-hole can only be one of
+  /// those rules; and reachability (which old rules can lose through
+  /// shadowing) is covered by the caller's global reachability diff.
+  /// Pre-existing violations are never attributed. Traces walk the whole
+  /// network from each written rule.
+  ///
+  /// `pending` says whether the mods may still be missing from the live
+  /// tables (delay-buffer NetLog holds the bundle until commit; wire frames
+  /// can be in flight). If so, every touched switch's table is copied and
+  /// the mods applied to the copy, and traces read the copies there. If
+  /// not, the live tables already hold the would-be state, and traces read
+  /// them directly with nothing copied (NetLog::landed() decides).
   std::vector<Violation> check_flow_mods(const InvariantConfig& cfg,
-                                         std::span<const of::FlowMod> mods) const;
+                                         std::span<const of::FlowMod> mods,
+                                         bool pending) const;
 
   /// Reachability-only check (used as the cheap pre-transaction baseline).
   std::vector<Violation> check_reachability_only(const InvariantConfig& cfg) const;
@@ -100,27 +100,25 @@ public:
   std::vector<Violation> check_basic() const { return check(InvariantConfig{}); }
 
 private:
-  void check_rules(const InvariantConfig& cfg,
-                   std::span<const DatapathId> scope, // empty = all switches
-                   std::vector<Violation>& out) const;
+  /// Per-switch copies of live tables with a transaction's pending mods
+  /// applied on top; switches absent from it are read live.
+  using Overlay = std::unordered_map<DatapathId, netsim::FlowTable>;
+
+  TraceResult trace(PortLocator ingress, const of::PacketHeader& hdr,
+                    const Overlay* overlay) const;
+  void check_rules(const InvariantConfig& cfg, std::vector<Violation>& out) const;
   void check_entry(const InvariantConfig& cfg, DatapathId dpid,
                    const netsim::SimSwitch& sw, const netsim::FlowEntry& e,
-                   std::vector<Violation>& out) const;
+                   const Overlay* overlay, std::vector<Violation>& out) const;
   void check_reachability(const InvariantConfig& cfg,
                           std::vector<Violation>& out) const;
 
-  /// Flow table to consult for a switch: the pending-rule overlay when one is
-  /// active (check_flow_mods verifying rules that have not reached the switch
-  /// yet — delay-buffer NetLog holds the bundle until commit), otherwise the
-  /// switch's live table.
-  const netsim::FlowTable& table_of(DatapathId dpid,
-                                    const netsim::SimSwitch& sw) const;
+  /// Flow table to consult for a switch: its overlay copy when `overlay`
+  /// has one, otherwise the switch's live table.
+  static const netsim::FlowTable& table_of(const Overlay* overlay, DatapathId dpid,
+                                           const netsim::SimSwitch& sw);
 
   const netsim::Network& net_;
-  /// Active only inside check_flow_mods: per-switch copies of the live
-  /// tables with the transaction's pending mods applied on top.
-  mutable const std::unordered_map<DatapathId, netsim::FlowTable>* overlay_ =
-      nullptr;
   static constexpr std::size_t kHopLimit = 128;
 };
 

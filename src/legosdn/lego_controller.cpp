@@ -180,9 +180,10 @@ bool LegoController::apply_transaction(appvisor::AppEntry& entry,
   // Byzantine detection must only blame violations this transaction *adds*:
   // a dead switch leaves stale black-holes network-wide, and a transaction
   // that merely coexists with (or even repairs) them is innocent. Like
-  // VeriFlow, verification is incremental — only rules at the switches this
-  // transaction touches are re-traced — and diffed against a pre-txn
-  // baseline over the same scope.
+  // VeriFlow, verification is incremental: loops and black-holes are traced
+  // from exactly the rules this transaction wrote (new by construction), and
+  // only reachability, which old rules can lose through shadowing, is
+  // diffed against a pre-transaction baseline.
   std::set<std::string> baseline;
   std::vector<of::FlowMod> written;
   const bool verify = cfg_.byzantine_detection && has_state_change;
@@ -236,9 +237,16 @@ bool LegoController::apply_transaction(appvisor::AppEntry& entry,
 
   if (verify) {
     std::string detail;
-    // Rule-level violations traced from exactly the rules this transaction
-    // wrote are new by construction.
-    for (const auto& v : checker_.check_flow_mods(cfg_.invariants, written)) {
+    // Undo-log applies usually reach the switches at once, so the live tables
+    // already hold the would-be state. Otherwise (delay-buffer NetLog, wire
+    // frames in flight, a drifted shadow) the checker overlays the pending
+    // mods on copies of the touched tables.
+    const bool pending = !netlog_.landed(txn);
+    if (pending) {
+      std::lock_guard<std::mutex> lk(lego_mu_);
+      lego_stats_.verify_overlays += 1;
+    }
+    for (const auto& v : checker_.check_flow_mods(cfg_.invariants, written, pending)) {
       if (!detail.empty()) detail += "; ";
       detail += v.to_string();
     }

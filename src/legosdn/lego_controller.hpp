@@ -241,6 +241,9 @@ public:
     std::uint64_t replayed_events = 0;
     std::uint64_t txns_committed = 0;
     std::uint64_t txns_rolled_back = 0;
+    std::uint64_t verify_overlays = 0;    ///< verifying txns whose mods had
+                                          ///< not landed, checked against a
+                                          ///< pending-rule overlay
     std::uint64_t quota_violations = 0;   ///< message-quota breaches
     std::uint64_t breaker_disables = 0;   ///< apps shut down by the fault breaker
     std::uint64_t stub_timeouts = 0;      ///< deliver deadline exhausted after

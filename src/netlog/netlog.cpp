@@ -45,7 +45,7 @@ std::size_t NetLog::CounterKeyHash::operator()(const CounterKey& k) const noexce
 
 // --- StripeGuard -----------------------------------------------------------
 
-NetLog::StripeGuard::StripeGuard(NetLog& log, const std::vector<DatapathId>& dpids)
+NetLog::StripeGuard::StripeGuard(const NetLog& log, const std::vector<DatapathId>& dpids)
     : log_(log) {
   held_.reserve(dpids.size());
   for (const DatapathId d : dpids) held_.push_back(stripe_of(d));
@@ -54,12 +54,12 @@ NetLog::StripeGuard::StripeGuard(NetLog& log, const std::vector<DatapathId>& dpi
   for (const std::size_t i : held_) log_.stripes_[i].lock();
 }
 
-NetLog::StripeGuard::StripeGuard(NetLog& log, DatapathId dpid) : log_(log) {
+NetLog::StripeGuard::StripeGuard(const NetLog& log, DatapathId dpid) : log_(log) {
   held_.push_back(stripe_of(dpid));
   log_.stripes_[held_.front()].lock();
 }
 
-NetLog::StripeGuard NetLog::StripeGuard::all(NetLog& log) {
+NetLog::StripeGuard NetLog::StripeGuard::all(const NetLog& log) {
   StripeGuard g(log);
   g.held_.reserve(kStripes);
   for (std::size_t i = 0; i < kStripes; ++i) {
@@ -123,7 +123,7 @@ std::uint64_t NetLog::spans(TxnId id) const {
   return it == open_.end() ? 0 : it->second->spans;
 }
 
-NetLog::Txn* NetLog::find_open(TxnId id) {
+NetLog::Txn* NetLog::find_open(TxnId id) const {
   std::lock_guard<std::mutex> lk(open_mu_);
   const auto it = open_.find(id);
   return it == open_.end() ? nullptr : it->second.get();
@@ -469,25 +469,12 @@ NetLog::ReconcileOutcome NetLog::reconcile_in_flight() {
     if (!txn) continue;
     StripeGuard guard(*this, txn->dpids);
 
-    // Did the leader's applies reach the switches? In undo-log mode applies
-    // were forwarded as they happened, and this follower's shadow replayed
-    // the same records — so live table == shadow (in-flight applies
+    // Did the leader's applies reach the switches? This follower's shadow
+    // replayed the same records, so live table == shadow (in-flight applies
     // included) proves the switch executed every one of them. Delay-buffer
     // transactions never sent anything before commit, so they always
-    // discard. A down switch is unknowable; the verdict rests on the
-    // others (it will be re-audited against the shadow when it comes up).
-    bool landed = cfg_.mode == Mode::kUndoLog;
-    for (const DatapathId d : txn->dpids) {
-      const netsim::SimSwitch* sw = net_.switch_at(d);
-      if (!sw || !sw->up()) continue;
-      const netsim::FlowTable* sh = shadow(d);
-      if (!sh || sh->logical_digest() != sw->table().logical_digest()) {
-        landed = false;
-        break;
-      }
-    }
-
-    if (landed) {
+    // discard.
+    if (applies_landed(*txn)) {
       // Adopt: commit is pure bookkeeping. The switches already executed
       // every apply, so nothing is (re)sent — that is the exactly-once
       // guarantee, asserted by tests as zero messages during reconcile.
@@ -534,8 +521,7 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> NetLog::shadow_digests()
     const {
   // Stop the world so the digests form one consistent cut (forensics reads
   // these mid-recovery, possibly while other lanes commit).
-  auto& self = const_cast<NetLog&>(*this);
-  StripeGuard guard = StripeGuard::all(self);
+  StripeGuard guard = StripeGuard::all(*this);
   std::shared_lock<std::shared_mutex> lk(shadow_map_mu_);
   std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
   out.reserve(shadow_.size());
@@ -543,6 +529,29 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> NetLog::shadow_digests()
     out.emplace_back(raw(dpid), table.logical_digest());
   std::sort(out.begin(), out.end());
   return out;
+}
+
+bool NetLog::applies_landed(const Txn& txn) const {
+  // Undo-log applies are forwarded as they happen; delay-buffer ones wait
+  // for commit. A down switch is unknowable: the verdict rests on the others
+  // (it is re-audited against the shadow when it comes up).
+  if (cfg_.mode != Mode::kUndoLog) return false;
+  for (const DatapathId d : txn.dpids) {
+    const netsim::SimSwitch* sw = net_.switch_at(d);
+    if (!sw || !sw->up()) continue;
+    const netsim::FlowTable* sh = shadow(d);
+    if (!sh || sh->logical_digest() != sw->table().logical_digest()) return false;
+  }
+  return true;
+}
+
+bool NetLog::landed(TxnId id) const {
+  // The Txn belongs to the caller's lane (single-threaded by construction),
+  // so its dpids are read without open_mu_, as apply() does.
+  const Txn* txn = find_open(id);
+  if (!txn) return false;
+  StripeGuard guard(*this, txn->dpids);
+  return applies_landed(*txn);
 }
 
 std::vector<DatapathId> NetLog::touched(TxnId id) const {

@@ -166,6 +166,9 @@ TEST(LegoController, ByzantineBlackHoleIsRolledBack) {
   send_and_pump(*net, c, 0, 1, 666);
   EXPECT_EQ(c.lego_stats().byzantine_failures, 1u);
   EXPECT_EQ(c.lego_stats().txns_rolled_back, 1u);
+  // Undo-log applies land at once in-process, so every verification read
+  // the live tables: no pending-rule overlay was built.
+  EXPECT_EQ(c.lego_stats().verify_overlays, 0u);
   EXPECT_EQ(net->switch_at(DatapathId{1})->table().size(), s1_size);
   for (const auto& e : net->switch_at(DatapathId{1})->table().entries()) {
     EXPECT_FALSE(e.outputs_to(PortNo{0xEE00}));
@@ -180,8 +183,9 @@ TEST(LegoController, ByzantineBlackHoleIsRolledBack) {
 // holds the whole bundle until commit, so at verification time the written
 // rules are not in the switch tables yet. The checker used to look the rules
 // up in the live tables, find nothing, and wave every byzantine transaction
-// through — poison rules reached the network unchecked. check_flow_mods now
-// verifies against an overlay of the would-be state.
+// through — poison rules reached the network unchecked. A delay-buffered
+// transaction has not landed, so check_flow_mods verifies against an overlay
+// of the would-be state.
 TEST(LegoController, DelayBufferByzantineBlackHoleIsRolledBack) {
   auto net = netsim::Network::linear(2, 1);
   LegoConfig cfg;
@@ -199,6 +203,7 @@ TEST(LegoController, DelayBufferByzantineBlackHoleIsRolledBack) {
   send_and_pump(*net, c, 0, 1, 666);
   EXPECT_EQ(c.lego_stats().byzantine_failures, 1u);
   EXPECT_EQ(c.lego_stats().txns_rolled_back, 1u);
+  EXPECT_GT(c.lego_stats().verify_overlays, 0u);
   for (const auto& e : net->switch_at(DatapathId{1})->table().entries()) {
     EXPECT_FALSE(e.outputs_to(PortNo{0xEE00}));
   }

@@ -435,6 +435,109 @@ TEST(NetLog, UnknownTxnOperationsFail) {
   EXPECT_FALSE(log.apply(TxnId{99}, {1, of::FlowMod{}}));
 }
 
+// landed(): have a transaction's flow-mods reached the live tables? The
+// verifier reads the live tables when they have and builds a pending-rule
+// overlay when they have not.
+
+TEST(NetLog, LandedOnceUndoLogAppliesReachTheSwitches) {
+  auto net = netsim::Network::linear(2, 1);
+  NetLog log(*net);
+  const TxnId txn = log.begin(AppId{1});
+  log.apply(txn, {1, add_rule(DatapathId{1}, of::Match{}.with_tp_dst(80), 100,
+                              PortNo{3})});
+  log.apply(txn, {2, add_rule(DatapathId{2}, of::Match{}.with_tp_dst(80), 100,
+                              PortNo{2})});
+  EXPECT_TRUE(log.landed(txn));
+  ASSERT_TRUE(log.commit(txn));
+}
+
+TEST(NetLog, LandedNeverInDelayBufferMode) {
+  auto net = netsim::Network::linear(2, 1);
+  NetLog log(*net, {Mode::kDelayBuffer, false});
+  const TxnId txn = log.begin(AppId{1});
+  log.apply(txn, {1, add_rule(DatapathId{1}, of::Match{}.with_tp_dst(80), 100,
+                              PortNo{3})});
+  EXPECT_FALSE(log.landed(txn));
+  ASSERT_TRUE(log.commit(txn));
+}
+
+TEST(NetLog, LandedWaitsForQueuedSouthboundDelivery) {
+  // A southbound that queues messages the way a socket does: nothing reaches
+  // a switch until the queue is delivered.
+  auto net = netsim::Network::linear(2, 1);
+  NetLog log(*net);
+  std::vector<of::Message> queued;
+  log.set_southbound([&](const of::Message& m) { queued.push_back(m); });
+  const auto deliver = [&] {
+    for (const auto& m : queued) net->send_to_switch(m);
+    queued.clear();
+  };
+  const of::FlowMod rule =
+      add_rule(DatapathId{1}, of::Match{}.with_tp_dst(80), 100, PortNo{3});
+
+  const TxnId t1 = log.begin(AppId{1});
+  log.apply(t1, {1, rule});
+  EXPECT_FALSE(log.landed(t1));
+  deliver();
+  EXPECT_TRUE(log.landed(t1));
+  ASSERT_TRUE(log.commit(t1));
+  deliver();
+
+  // Re-adding an identical rule changes no logical digest, so the live table
+  // already holds the would-be state while the message is still queued.
+  const TxnId t2 = log.begin(AppId{1});
+  log.apply(t2, {2, rule});
+  EXPECT_EQ(queued.size(), 1u);
+  EXPECT_TRUE(log.landed(t2));
+  ASSERT_TRUE(log.commit(t2));
+}
+
+TEST(NetLog, LandedFalseWhenATouchedSwitchDrifted) {
+  auto net = netsim::Network::linear(2, 1);
+  NetLog log(*net);
+  const TxnId txn = log.begin(AppId{1});
+  log.apply(txn, {1, add_rule(DatapathId{1}, of::Match{}.with_tp_dst(80), 100,
+                              PortNo{3})});
+  ASSERT_TRUE(log.landed(txn));
+  // A rule written into the touched switch behind NetLog's back.
+  net->send_to_switch({9, add_rule(DatapathId{1}, of::Match{}.with_tp_dst(81), 100,
+                                   PortNo{3})});
+  EXPECT_FALSE(log.landed(txn));
+}
+
+TEST(NetLog, LandedIgnoresDownSwitches) {
+  auto net = netsim::Network::linear(2, 1);
+  NetLog log(*net);
+  const TxnId txn = log.begin(AppId{1});
+  log.apply(txn, {1, add_rule(DatapathId{1}, of::Match{}.with_tp_dst(80), 100,
+                              PortNo{3})});
+  log.apply(txn, {2, add_rule(DatapathId{2}, of::Match{}.with_tp_dst(80), 100,
+                              PortNo{2})});
+  // s2 drifts from its shadow, then goes down: its table is unknowable, so
+  // the verdict rests on s1 alone.
+  net->send_to_switch({9, add_rule(DatapathId{2}, of::Match{}.with_tp_dst(81), 100,
+                                   PortNo{2})});
+  ASSERT_FALSE(log.landed(txn));
+  net->set_switch_state(DatapathId{2}, false);
+  EXPECT_TRUE(log.landed(txn));
+}
+
+TEST(NetLog, LandedFalseForClosedOrUnknownTxn) {
+  auto net = netsim::Network::linear(2, 1);
+  NetLog log(*net);
+  const TxnId committed = log.begin(AppId{1});
+  log.apply(committed, {1, add_rule(DatapathId{1}, of::Match{}.with_tp_dst(80), 100,
+                                    PortNo{3})});
+  ASSERT_TRUE(log.commit(committed));
+  EXPECT_FALSE(log.landed(committed));
+  const TxnId rolled = log.begin(AppId{1});
+  log.apply(rolled, {2, add_rule(DatapathId{1}, of::Match{}.with_tp_dst(81), 100,
+                                 PortNo{3})});
+  ASSERT_TRUE(log.rollback(rolled));
+  EXPECT_FALSE(log.landed(rolled));
+  EXPECT_FALSE(log.landed(TxnId{99}));
+}
+
 TEST(NetLog, ShadowTracksSwitchState) {
   auto net = netsim::Network::linear(2, 1);
   NetLog log(*net);

@@ -623,6 +623,9 @@ TEST(SouthboundBridge, ShardedDispatcherDrivenFromSockets) {
   for (std::size_t d = 0; d < n; ++d) EXPECT_GT(net->hosts()[d].rx_packets, 0u);
   EXPECT_GT(bridge.server().stats().events_out, 0u);
   EXPECT_GT(lego->netlog().stats().committed, 0u);
+  // A verifying transaction holds the delivery gate, so its new rules are
+  // still on the wire when it verifies: the checker overlays them.
+  EXPECT_GT(lego->lego_stats().verify_overlays, 0u);
   EXPECT_EQ(bridge.stats().northbound_dropped, 0u);
   EXPECT_EQ(bridge.stats().southbound_dropped, 0u);
 
@@ -702,6 +705,29 @@ traffic pairs 1
 expect controller up
 )";
   expect_equivalent(run_script(body, "inprocess"), run_script(body, "wire"));
+}
+
+TEST(ScenarioWireDifferential, ByzantineRollback) {
+  // The body of examples/scenarios/byzantine_rollback.scn. Over the wire the
+  // black-hole rule is still in flight when the transaction verifies, so the
+  // pending-rule overlay has to catch it; in-process it has landed and the
+  // live tables do. Both must roll back the same transaction.
+  const std::string body = R"(topology linear 2 1
+app learning-switch
+wrap byzantine blackhole tp_dst=666
+start
+send 0 1 80
+send 1 0 80
+send 0 1 666
+expect byzantine == 1
+expect controller up
+send 0 1 80
+expect delivered 1 >= 2
+)";
+  const auto a = run_script(body, "inprocess");
+  const auto b = run_script(body, "wire");
+  expect_equivalent(a, b);
+  EXPECT_EQ(a.netlog_rolled_back, 1u);
 }
 
 TEST(ScenarioWireDifferential, SwitchChurnReconnects) {

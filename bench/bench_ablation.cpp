@@ -106,7 +106,6 @@ int main() {
   {
     lego::LegoConfig c;
     c.checkpoint_every = 1000000; // effectively off
-    c.replay_on_restore = false;
     configs.push_back({"no_ckpt", "- checkpoints (availability at risk)", c});
   }
   {
@@ -119,7 +118,6 @@ int main() {
     c.byzantine_detection = false;
     c.netlog.barrier_on_commit = false;
     c.checkpoint_every = 1000000;
-    c.replay_on_restore = false;
     configs.push_back({"bare", "bare isolation only", c});
   }
 

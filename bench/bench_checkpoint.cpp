@@ -12,11 +12,14 @@
 // Part 2 sweeps the checkpoint period k and reports (a) amortized overhead
 // per event and (b) crash-recovery cost (restore + replay of up to k-1
 // events) — the trade-off the §5 extension navigates.
-// Part 3 is the pipeline sweep: sync-full (encode inline on the event path)
-// vs async-delta (capture + handoff only; chunk hashing, delta diffing and
-// store insertion on the background worker) across state sizes, with a
-// restore-correctness check per row. The JSON line at the end carries the
-// p50 event-path latencies the CI trajectory tracks.
+// Part 3 (C8) is the pipeline sweep: sync (the store's put runs inline on
+// the event path) vs async (capture + handoff only; the put, which diffs the
+// previous newest snapshot into a backward delta, runs on the background
+// worker) across state sizes, over the one SnapshotStore. Each row checks
+// that the store's newest and oldest retained snapshots equal the bench's
+// own captures byte for byte (restore_ok); scripts/check_bench.py fails the
+// bench-smoke job on a mismatch. The JSON line at the end carries the p50
+// event-path latencies.
 #include <thread>
 
 #include "appvisor/inprocess_domain.hpp"
@@ -42,9 +45,12 @@ ctl::Event make_packet_in(std::uint64_t i) {
   return pin;
 }
 
+/// Snapshots the C8 store retains per app.
+constexpr std::size_t kKeep = 16;
+
 struct PipelineRow {
   std::size_t state_bytes = 0;
-  Histogram sync_us;  ///< event-path cost, inline full encode
+  Histogram sync_us;  ///< event-path cost, capture + inline put
   Histogram async_us; ///< event-path cost, capture + handoff
   double encode_lag_p50_us = 0;
   std::uint64_t fulls = 0;
@@ -57,7 +63,7 @@ struct PipelineRow {
 /// Run `events` packet-ins through a StatefulApp, checkpointing before every
 /// event through the given pipeline mode, and measure the event-path
 /// checkpoint cost (capture + submit). Returns p50/… samples plus worker
-/// stats and an end-to-end restore correctness check.
+/// stats and a byte-for-byte check of the newest and oldest stored snapshot.
 ///
 /// Events are spaced by a state-size-proportional think time (the rest of
 /// the control loop: app handlers, NetLog, invariant checks). Checkpoints
@@ -69,18 +75,16 @@ PipelineRow run_pipeline(std::size_t state_bytes, bool async, int events,
   PipelineRow row;
   row.state_bytes = state_bytes;
 
-  checkpoint::CodecConfig codec;
-  codec.full_every = async ? 8 : 1; // sync mode = legacy full-copy snapshots
-  codec.compress = true; // same codec either way; only the scheduling differs
-  checkpoint::SnapshotStore store(16, codec);
+  checkpoint::SnapshotStore store(kKeep);
   checkpoint::CheckpointWorker::Config wcfg;
   wcfg.async = async;
   wcfg.max_queue = 1024; // queue must absorb the bench burst, not backpressure
   checkpoint::CheckpointWorker worker(store, wcfg);
 
   // ~6% of pages dirtied per event: a working set small relative to state,
-  // which is what delta encoding exploits (touch_pages=0 would dirty every
-  // page and degenerate deltas to fulls — worth knowing, not worth timing).
+  // which is what the backward diffs exploit (touch_pages=0 would dirty
+  // every page and make each diff a whole state — worth knowing, not worth
+  // timing).
   const std::size_t pages = std::max<std::size_t>(1, state_bytes / 4096);
   auto app = std::make_shared<apps::StatefulApp>(
       state_bytes, std::max<std::size_t>(1, pages / 16));
@@ -89,15 +93,20 @@ PipelineRow run_pipeline(std::size_t state_bytes, bool async, int events,
 
   const auto think = std::chrono::microseconds(state_bytes / 1024);
   Histogram& on_path = async ? row.async_us : row.sync_us;
+  // With the final capture below, the store keeps seqs first_kept..events.
+  const int first_kept = events + 1 - static_cast<int>(kKeep);
+  std::vector<std::uint8_t> oldest_expect;
   for (int i = 0; i < events; ++i) {
     bench::Stopwatch sw;
     sw.start();
     auto snap = d.snapshot();
     if (snap.ok()) {
+      if (i == first_kept) oldest_expect = snap.value();
       worker.submit(AppId{1}, static_cast<std::uint64_t>(i), kSimStart,
                     std::move(snap).value());
     }
-    if (i >= warmup) on_path.add(sw.elapsed_us());
+    // The copy above is the bench's, not the pipeline's: leave it untimed.
+    if (i >= warmup && i != first_kept) on_path.add(sw.elapsed_us());
     d.deliver(make_packet_in(static_cast<std::uint64_t>(i)), kSimStart);
     std::this_thread::sleep_for(think);
   }
@@ -110,15 +119,19 @@ PipelineRow run_pipeline(std::size_t state_bytes, bool async, int events,
   row.raw_bytes = ws.raw_bytes;
   row.stored_bytes = ws.stored_bytes;
 
-  // Correctness: submit one final capture, then composing the newest stored
-  // snapshot (base + deltas) must reproduce it byte-for-byte.
+  // Correctness: submit one final capture; the newest stored snapshot must
+  // be it, and the oldest (the newest with every backward diff applied) the
+  // capture first_kept events ago, byte for byte.
   auto expect = d.snapshot();
   if (expect.ok()) {
     worker.submit(AppId{1}, static_cast<std::uint64_t>(events), kSimStart,
                   std::vector<std::uint8_t>(expect.value()));
     worker.flush();
-    auto latest = store.latest(AppId{1});
-    row.restore_ok = latest && latest->state == expect.value();
+    const auto latest = store.latest(AppId{1});
+    const auto oldest = store.oldest(AppId{1});
+    row.restore_ok = latest && latest->state == expect.value() && oldest &&
+                     oldest->event_seq == static_cast<std::uint64_t>(first_kept) &&
+                     oldest->state == oldest_expect;
   }
   return row;
 }
@@ -248,7 +261,7 @@ int main() {
     bench::note("exactly the trade-off §5 proposes to navigate.");
   }
 
-  bench::section("C8: sync-full vs async-delta checkpoint pipeline (§5)");
+  bench::section("C8: sync vs async checkpoint pipeline (§5)");
   std::vector<PipelineRow> rows;
   {
     std::vector<std::size_t> sizes = {std::size_t{1} << 16, std::size_t{1} << 18,
@@ -257,9 +270,9 @@ int main() {
     const int events = bench::iters(160, 24);
     const int warmup = bench::iters(20, 4);
 
-    bench::Table table({"state size", "sync-full on-path (us, p50)",
-                        "async-delta on-path (us, p50)", "speedup",
-                        "encode lag (us, p50)", "delta/full", "bytes saved",
+    bench::Table table({"state size", "sync on-path (us, p50)",
+                        "async on-path (us, p50)", "speedup",
+                        "encode lag (us, p50)", "diffs/first", "bytes saved",
                         "restore"});
     for (const std::size_t size : sizes) {
       PipelineRow sync = run_pipeline(size, /*async=*/false, events, warmup);
@@ -287,9 +300,12 @@ int main() {
     }
     table.print();
     std::printf("\n");
-    bench::note("Shape: sync-full pays capture + chunk hashing + store insertion on");
-    bench::note("the event path; async-delta pays capture + handoff only, and the");
-    bench::note("delta store retains far fewer bytes for sparse-write apps.");
+    bench::note("Shape: sync pays capture + the store's put (a memcmp diff of the");
+    bench::note("previous newest snapshot) on the event path; async pays capture +");
+    bench::note("handoff only. Both use the one store: the newest snapshot whole, older");
+    bench::note("ones as backward diffs, so a sparse-write app's retained bytes stay");
+    bench::note("small. restore compares the newest and oldest stored snapshots with");
+    bench::note("the bench's own captures.");
   }
 
   // Machine-readable result line (one JSON object) for harnesses.
@@ -300,17 +316,17 @@ int main() {
     const double async_p50 = r.async_us.percentile(50);
     j.begin_obj()
         .kv("state_bytes", static_cast<std::uint64_t>(r.state_bytes))
-        .kv("sync_full_p50_us", sync_p50)
-        .kv("sync_full_p95_us", r.sync_us.percentile(95))
-        .kv("async_delta_p50_us", async_p50)
-        .kv("async_delta_p95_us", r.async_us.percentile(95))
+        .kv("sync_p50_us", sync_p50)
+        .kv("sync_p95_us", r.sync_us.percentile(95))
+        .kv("async_p50_us", async_p50)
+        .kv("async_p95_us", r.async_us.percentile(95))
         .kv("speedup_p50", async_p50 > 0 ? sync_p50 / async_p50 : 0.0)
         .kv("encode_lag_p50_us", r.encode_lag_p50_us)
         .kv("delta_snapshots", r.deltas)
         .kv("full_snapshots", r.fulls)
         .kv("raw_bytes", r.raw_bytes)
         .kv("stored_bytes", r.stored_bytes)
-        .kv("restore_ok", std::string(r.restore_ok ? "true" : "false"))
+        .kv_bool("restore_ok", r.restore_ok)
         .end_obj();
   }
   j.end_arr().end_obj();

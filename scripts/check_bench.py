@@ -246,6 +246,23 @@ def check_ablation(path: Path, doc) -> None:
              "flow-mods are held until commit, so verification must overlay them")
 
 
+def check_checkpoint(path: Path, doc) -> None:
+    """Schema for BENCH_checkpoint.json (experiment C8): one pipeline row per
+    state size, each with a boolean restore_ok that is true only when the
+    store's newest and oldest retained snapshots equal the bench's own
+    captures byte for byte. A correctness flag, not a timing, so it holds on
+    any runner."""
+    rows = doc.get("pipeline")
+    if not isinstance(rows, list) or not rows:
+        fail(f"{path}: 'pipeline' must be a non-empty list")
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict) or not isinstance(row.get("restore_ok"), bool):
+            fail(f"{path}: pipeline[{i}].restore_ok must be a boolean")
+        if not row["restore_ok"]:
+            fail(f"{path}: pipeline[{i}] (state_bytes {row.get('state_bytes')}) "
+                 "restored a snapshot that differs from its capture")
+
+
 def headline_speedup(path: Path, doc) -> float | None:
     headline = doc.get("headline")
     if headline is None:
@@ -274,6 +291,8 @@ def check_file(path: Path, baseline_dir: Path, max_regression: float) -> str:
         check_isolation_latency(path, doc)
     if doc.get("bench") == "ablation":
         check_ablation(path, doc)
+    if doc.get("bench") == "checkpoint":
+        check_checkpoint(path, doc)
 
     speedup = headline_speedup(path, doc)
     if speedup is None:

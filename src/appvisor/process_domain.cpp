@@ -117,7 +117,7 @@ void run_stub(ctl::App& app, std::uint16_t proxy_port,
             std::vector<std::uint8_t> state = app.snapshot_state();
             done.state = StateDelta{shipped_seq,
                                     static_cast<std::uint32_t>(state.size()),
-                                    checkpoint::diff_chunks(shipped, state, kStateChunk)};
+                                    checkpoint::diff_chunks(shipped, state)};
             shipped = std::move(state);
             shipped_seq = req.seq;
           }
@@ -383,7 +383,7 @@ EventOutcome ProcessDomain::deliver(const ctl::Event& event, SimTime now) {
   // even a stale mirror.
   if (const auto& delta = done.value().state;
       delta && delta->base == base &&
-      checkpoint::apply_chunks(mirror_, delta->size, delta->dirty, kStateChunk))
+      checkpoint::apply_chunks(mirror_, delta->size, delta->dirty))
     mirror_seq_ = reply.value().seq;
   return out;
 }

@@ -83,12 +83,11 @@ Result<EventDonePayload> decode_event_done(std::span<const std::uint8_t> bytes) 
       checkpoint::DirtyChunk c;
       c.index = r.u32();
       c.data = r.blob();
-      c.raw_size = static_cast<std::uint32_t>(c.data.size());
       d.dirty.push_back(std::move(c));
     }
     // Without a base, the chunks alone must rebuild the whole state.
-    if (r.ok() && checkpoint::check_chunks(d.dirty, d.base == 0 ? 0 : d.size,
-                                           d.size, kStateChunk))
+    if (r.ok() &&
+        checkpoint::check_chunks(d.dirty, d.base == 0 ? 0 : d.size, d.size))
       p.state = std::move(d);
   }
   if (r.error()) return Error{Error::Code::kTruncated, "event-done truncated"};

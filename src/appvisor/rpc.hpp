@@ -56,16 +56,14 @@ struct RegisterPayload {
 std::vector<std::uint8_t> encode_register(const RegisterPayload& p);
 Result<RegisterPayload> decode_register(std::span<const std::uint8_t> bytes);
 
-/// Chunk granularity of the state deltas kEventDone carries.
-inline constexpr std::size_t kStateChunk = 1024;
-
-/// The stub's post-event app state, as the kStateChunk chunks that differ
-/// from the copy it last shipped. `base` is the seq of the RPC that shipped
-/// that copy; 0 means none, and then the chunks cover all `size` bytes.
+/// The stub's post-event app state, as the checkpoint::kChunkSize chunks
+/// that differ from the copy it last shipped. `base` is the seq of the RPC
+/// that shipped that copy; 0 means none, and then the chunks cover all
+/// `size` bytes.
 struct StateDelta {
   std::uint64_t base = 0;
   std::uint32_t size = 0;
-  std::vector<checkpoint::DirtyChunk> dirty; ///< uncompressed, ascending
+  std::vector<checkpoint::DirtyChunk> dirty; ///< ascending
 
   bool operator==(const StateDelta&) const = default;
 };
@@ -76,9 +74,10 @@ struct EventDonePayload {
   std::optional<StateDelta> state; ///< set when the deliver asked for it
 };
 std::vector<std::uint8_t> encode_event_done(const EventDonePayload& p);
-/// A truncated payload is an error. A delta with a chunk outside its `size`,
-/// or a base-0 delta that does not cover [0, size), is dropped (`state` is
-/// left empty) without failing the rest of the payload.
+/// A truncated payload is an error. A delta with a chunk outside its `size`
+/// or of the wrong length, or a base-0 delta that does not cover [0, size),
+/// is dropped (`state` is left empty) without failing the rest of the
+/// payload.
 Result<EventDonePayload> decode_event_done(std::span<const std::uint8_t> bytes);
 
 struct DeliverEventPayload {

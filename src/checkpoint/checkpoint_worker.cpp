@@ -47,8 +47,8 @@ void CheckpointWorker::submit(AppId app, std::uint64_t event_seq,
     std::lock_guard lock(stats_mu_);
     stats_.inline_encodes += 1;
   }
-  // Queue full: encoding inline would race the worker thread for this
-  // app's chain tail, so drain the queue first — the hot path pays for the
+  // Queue full: storing inline would race the worker thread for this app's
+  // newest snapshot, so drain the queue first — the hot path pays for the
   // backlog, which is exactly what backpressure means.
   flush();
   encode_and_store(std::move(job), /*via_queue=*/false);
@@ -78,18 +78,8 @@ void CheckpointWorker::encode_and_store(Job job, bool via_queue) {
   if (cfg_.encode_delay.count() > 0)
     std::this_thread::sleep_for(cfg_.encode_delay);
 
-  const CodecConfig& codec = store_.codec();
-  auto base = store_.base_info(job.app);
-  const bool delta_ok = codec.full_every > 1 && base &&
-                        base->deltas_since_full + 1 < codec.full_every;
-  EncodedSnapshot snap =
-      delta_ok ? encode_delta(job.event_seq, job.taken_at, std::move(job.state),
-                              base->hashes, base->state_size, codec)
-               : encode_full(job.event_seq, job.taken_at, std::move(job.state),
-                             codec);
-  const std::size_t stored = snap.stored_bytes();
-  const bool is_full = snap.is_full;
-  store_.put(job.app, std::move(snap));
+  const SnapshotStore::Put put =
+      store_.put(job.app, job.event_seq, job.taken_at, std::move(job.state));
 
   const double lag_us = std::chrono::duration<double, std::micro>(
                             std::chrono::steady_clock::now() - job.submitted_at)
@@ -100,12 +90,12 @@ void CheckpointWorker::encode_and_store(Job job, bool via_queue) {
   } else {
     stats_.encoded_inline += 1;
   }
-  if (is_full) {
+  if (put.first) {
     stats_.full_snapshots += 1;
   } else {
     stats_.delta_snapshots += 1;
   }
-  stats_.stored_bytes += stored;
+  stats_.stored_bytes += put.stored_bytes;
   stats_.encode_lag_us.add(lag_us);
 }
 

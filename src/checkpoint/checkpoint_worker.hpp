@@ -1,25 +1,24 @@
-// Asynchronous checkpoint encoding pipeline (§5).
+// Asynchronous checkpoint pipeline (§5).
 //
 // The event hot path should pay only for *capturing* app state, never for
-// encoding it: the controller hands the raw capture to this worker, which
-// chunk-hashes, delta-diffs, (optionally) compresses, and inserts into the
-// SnapshotStore on a background thread.
+// storing it: the controller hands the raw capture to this worker, which
+// puts it into the SnapshotStore (where the previous newest snapshot is
+// diffed into a backward delta) on a background thread.
 //
 // One FIFO queue drained by one thread. Per-app ordering is the only
-// requirement the store's delta chains impose — every delta is diffed
-// against the snapshot encoded immediately before it — and the FIFO
-// preserves it.
+// requirement the store imposes (each put becomes the app's newest
+// snapshot), and the FIFO preserves it.
 //
 // Backpressure: the queue is bounded; when it is full the submit drains the
-// queue and then encodes inline on the caller's thread instead of blocking
+// queue and then stores inline on the caller's thread instead of blocking
 // or dropping (a checkpoint is never lost, the hot path just temporarily
 // degrades to the synchronous cost — `stats().inline_encodes` counts how
-// often). Draining first keeps the app's chain ordered: the inline encode
+// often). Draining first keeps the app's history ordered: the inline put
 // cannot overtake a queued older capture of the same app.
 //
-// Sync mode (Config::async = false) encodes every submit inline; it exists
-// so benches and determinism tests can run the identical codec path with and
-// without the thread hop.
+// Sync mode (Config::async = false) stores every submit inline; it exists
+// so benches and determinism tests can run the identical store path with
+// and without the thread hop.
 #pragma once
 
 #include <chrono>
@@ -50,12 +49,14 @@ public:
     std::uint64_t encoded_async = 0;
     std::uint64_t encoded_inline = 0; ///< sync mode or queue backpressure
     std::uint64_t inline_encodes = 0; ///< backpressure-only subset
-    std::uint64_t full_snapshots = 0;
-    std::uint64_t delta_snapshots = 0;
+    std::uint64_t full_snapshots = 0;  ///< puts into an empty history
+    std::uint64_t delta_snapshots = 0; ///< puts that made a backward diff
     std::uint64_t raw_bytes = 0;    ///< captured state bytes submitted
-    std::uint64_t stored_bytes = 0; ///< encoded bytes handed to the store
+    /// Bytes the puts added: a history's first state whole, then the
+    /// backward diff each later put made of the previous newest.
+    std::uint64_t stored_bytes = 0;
     /// Time from submit to the snapshot landing in the store. In sync mode
-    /// this is just the encode cost; in async mode it includes queue wait.
+    /// this is just the put's cost; in async mode it includes queue wait.
     Histogram encode_lag_us;
   };
 

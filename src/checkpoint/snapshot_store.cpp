@@ -2,101 +2,66 @@
 
 namespace legosdn::checkpoint {
 
-void SnapshotStore::put(AppId app, EncodedSnapshot snap) {
+namespace {
+
+std::size_t stored_bytes(const std::vector<DirtyChunk>& chunks) {
+  std::size_t n = 0;
+  for (const auto& c : chunks) n += sizeof(DirtyChunk) + c.data.size();
+  return n;
+}
+
+} // namespace
+
+SnapshotStore::Put SnapshotStore::put(AppId app, std::uint64_t event_seq,
+                                      SimTime taken_at, Bytes state) {
   std::lock_guard lock(mu_);
-  auto& q = by_app_[app];
-  if (!snap.is_full && q.empty()) {
-    // Chain invariant 1: the front must be a full base. A delta with no
-    // predecessor (cleared app, first snapshot) has nothing to chain to.
-    stats_.orphan_deltas_dropped += 1;
-    return;
+  auto [it, first] = by_app_.try_emplace(app);
+  History& h = it->second;
+  Put out{first, state.size()};
+  if (!first) {
+    // The previous newest becomes the chunks that rebuild it from `state`.
+    const Snapshot& prev = h.newest;
+    Diff d{prev.event_seq, prev.taken_at, prev.state.size(),
+           diff_chunks(state, prev.state)};
+    out.stored_bytes = stored_bytes(d.chunks);
+    total_bytes_ = total_bytes_ - prev.state.size() + out.stored_bytes;
+    h.older.push_back(std::move(d));
   }
-  if (snap.is_full) {
-    stats_.fulls_stored += 1;
-  } else {
-    stats_.deltas_stored += 1;
-  }
-  total_bytes_ += snap.stored_bytes();
-  stats_.logical_bytes += snap.state_size;
-  q.push_back(std::move(snap));
-  while (q.size() > keep_) evict_front(q);
-}
-
-void SnapshotStore::evict_front(Chain& q) {
-  // Chain invariant 2: q[1] (if a delta) is diffed against q[0]. Rebase it
-  // into a full snapshot before the base disappears.
-  if (q.size() >= 2 && !q[1].is_full) {
-    std::optional<Bytes> composed = materialize(q, 1);
-    if (!composed) {
-      // Corrupt chain: drop the front and every delta chained onto it so
-      // the new front is a full base again.
-      do {
-        total_bytes_ -= q.front().stored_bytes();
-        stats_.logical_bytes -= q.front().state_size;
-        q.pop_front();
-      } while (!q.empty() && !q.front().is_full);
-      return;
-    }
-    // Account for the delta before its parts are moved out of q[1] below —
-    // stored_bytes() counts the chunk map, and moving hashes first would
-    // make the subtraction undercount, leaking total_bytes_ on every rebase.
-    total_bytes_ -= q[1].stored_bytes();
-    EncodedSnapshot rebased;
-    rebased.event_seq = q[1].event_seq;
-    rebased.taken_at = q[1].taken_at;
-    rebased.is_full = true;
-    rebased.state_size = composed->size();
-    rebased.hashes = std::move(q[1].hashes); // same state, same chunk map
-    if (codec_.compress) {
-      Bytes packed = rle_compress(*composed);
-      if (packed.size() < composed->size()) {
-        rebased.compressed = true;
-        rebased.full = std::move(packed);
-      }
-    }
-    if (rebased.full.empty() && rebased.state_size != 0)
-      rebased.full = std::move(*composed);
-    total_bytes_ += rebased.stored_bytes();
-    q[1] = std::move(rebased);
-    stats_.rebases += 1;
-  }
-  total_bytes_ -= q.front().stored_bytes();
-  stats_.logical_bytes -= q.front().state_size;
-  q.pop_front();
-}
-
-std::optional<Bytes> SnapshotStore::materialize(const Chain& q,
-                                                std::size_t idx) const {
-  // Walk back to the nearest full base, then apply deltas forward.
-  std::size_t base = idx;
-  while (base > 0 && !q[base].is_full) --base;
-  auto state = decode_full(q[base]);
-  if (!state) {
-    stats_.compose_failures += 1;
-    return std::nullopt;
-  }
-  Bytes out = std::move(state).value();
-  for (std::size_t i = base + 1; i <= idx; ++i) {
-    if (Status st = apply_delta(out, q[i], codec_.chunk_size); !st) {
-      stats_.compose_failures += 1;
-      return std::nullopt;
-    }
+  total_bytes_ += state.size();
+  stats_.logical_bytes += state.size();
+  h.newest = Snapshot{event_seq, taken_at, std::move(state)};
+  while (h.older.size() >= keep_) {
+    drop(h.older.front());
+    h.older.pop_front();
   }
   return out;
 }
 
-std::optional<Snapshot> SnapshotStore::snapshot_at(const Chain& q,
-                                                   std::size_t idx) const {
-  auto state = materialize(q, idx);
-  if (!state) return std::nullopt;
-  return Snapshot{q[idx].event_seq, q[idx].taken_at, std::move(*state)};
+void SnapshotStore::drop(const Diff& d) {
+  total_bytes_ -= stored_bytes(d.chunks);
+  stats_.logical_bytes -= d.size;
+}
+
+std::optional<Snapshot> SnapshotStore::rebuild(const History& h,
+                                               std::size_t back) const {
+  Snapshot out = h.newest;
+  for (std::size_t i = 1; i <= back; ++i) {
+    const Diff& d = h.older[h.older.size() - i];
+    if (Status st = apply_chunks(out.state, d.size, d.chunks); !st) {
+      stats_.compose_failures += 1;
+      return std::nullopt;
+    }
+    out.event_seq = d.event_seq;
+    out.taken_at = d.taken_at;
+  }
+  return out;
 }
 
 std::optional<Snapshot> SnapshotStore::latest(AppId app) const {
   std::lock_guard lock(mu_);
   auto it = by_app_.find(app);
-  if (it == by_app_.end() || it->second.empty()) return std::nullopt;
-  return snapshot_at(it->second, it->second.size() - 1);
+  if (it == by_app_.end()) return std::nullopt;
+  return it->second.newest;
 }
 
 std::optional<Snapshot> SnapshotStore::at_or_before(AppId app,
@@ -104,40 +69,38 @@ std::optional<Snapshot> SnapshotStore::at_or_before(AppId app,
   std::lock_guard lock(mu_);
   auto it = by_app_.find(app);
   if (it == by_app_.end()) return std::nullopt;
-  const Chain& q = it->second;
-  std::optional<std::size_t> best;
-  for (std::size_t i = 0; i < q.size(); ++i) {
-    if (q[i].event_seq <= seq) best = i; // seqs are nondecreasing
+  const History& h = it->second;
+  // Seqs ascend from older.front() to the newest; walk back from the newest.
+  const std::size_t n = h.older.size();
+  std::size_t back = 0;
+  if (h.newest.event_seq > seq) {
+    back = 1;
+    while (back <= n && h.older[n - back].event_seq > seq) ++back;
+    if (back > n) return std::nullopt;
   }
-  if (!best) return std::nullopt;
-  return snapshot_at(q, *best);
+  return rebuild(h, back);
 }
 
 std::optional<Snapshot> SnapshotStore::oldest(AppId app) const {
   std::lock_guard lock(mu_);
   auto it = by_app_.find(app);
-  if (it == by_app_.end() || it->second.empty()) return std::nullopt;
-  return snapshot_at(it->second, 0);
+  if (it == by_app_.end()) return std::nullopt;
+  return rebuild(it->second, it->second.older.size());
 }
 
 std::optional<std::uint64_t> SnapshotStore::latest_seq(AppId app) const {
   std::lock_guard lock(mu_);
   auto it = by_app_.find(app);
-  if (it == by_app_.end() || it->second.empty()) return std::nullopt;
-  return it->second.back().event_seq;
+  if (it == by_app_.end()) return std::nullopt;
+  return it->second.newest.event_seq;
 }
 
-std::optional<BaseInfo> SnapshotStore::base_info(AppId app) const {
+std::optional<std::uint64_t> SnapshotStore::oldest_seq(AppId app) const {
   std::lock_guard lock(mu_);
   auto it = by_app_.find(app);
-  if (it == by_app_.end() || it->second.empty()) return std::nullopt;
-  const Chain& q = it->second;
-  BaseInfo info;
-  info.hashes = q.back().hashes;
-  info.state_size = q.back().state_size;
-  for (auto r = q.rbegin(); r != q.rend() && !r->is_full; ++r)
-    info.deltas_since_full += 1;
-  return info;
+  if (it == by_app_.end()) return std::nullopt;
+  const History& h = it->second;
+  return h.older.empty() ? h.newest.event_seq : h.older.front().event_seq;
 }
 
 std::vector<std::uint64_t> SnapshotStore::seqs(AppId app) const {
@@ -145,14 +108,15 @@ std::vector<std::uint64_t> SnapshotStore::seqs(AppId app) const {
   std::vector<std::uint64_t> out;
   auto it = by_app_.find(app);
   if (it == by_app_.end()) return out;
-  for (const auto& s : it->second) out.push_back(s.event_seq);
+  for (const auto& d : it->second.older) out.push_back(d.event_seq);
+  out.push_back(it->second.newest.event_seq);
   return out;
 }
 
 std::size_t SnapshotStore::count(AppId app) const {
   std::lock_guard lock(mu_);
   auto it = by_app_.find(app);
-  return it == by_app_.end() ? 0 : it->second.size();
+  return it == by_app_.end() ? 0 : it->second.older.size() + 1;
 }
 
 std::size_t SnapshotStore::total_bytes() const {
@@ -164,10 +128,9 @@ void SnapshotStore::clear(AppId app) {
   std::lock_guard lock(mu_);
   auto it = by_app_.find(app);
   if (it == by_app_.end()) return;
-  for (const auto& s : it->second) {
-    total_bytes_ -= s.stored_bytes();
-    stats_.logical_bytes -= s.state_size;
-  }
+  for (const auto& d : it->second.older) drop(d);
+  total_bytes_ -= it->second.newest.state.size();
+  stats_.logical_bytes -= it->second.newest.state.size();
   by_app_.erase(it);
 }
 

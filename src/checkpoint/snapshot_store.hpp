@@ -4,18 +4,16 @@
 //  processing of an event and should a failure occur, it can easily revert
 //  to this snapshot." (§3.3)
 //
-// The store keeps a bounded history per app (newest last) in *encoded* form:
-// periodic full bases plus chained deltas (see delta_codec.hpp). Reads
-// materialize a snapshot by composing the nearest preceding full base with
-// the deltas after it. Two invariants make eviction safe:
+// Recovery reads only the newest snapshot; the older ones serve §5's
+// multi-event fault localization. The store is built for that: per app it
+// keeps the newest snapshot's bytes whole, and each older retained snapshot
+// as the chunks that rebuild it from the next newer one (a backward diff,
+// see delta_codec.hpp). So:
 //
-//   1. the front of every per-app deque is a full snapshot, and
-//   2. every delta's predecessor is the element immediately before it.
-//
-// Evicting a full base whose successor is a delta therefore *rebases*: the
-// base and the delta are composed into a new full snapshot in the
-// successor's place, so the chain never dangles (the `keep_per_app`
-// boundary case from §5's bounded-history requirement).
+//   - latest() is a plain copy;
+//   - an older read copies the newest and applies diffs backwards;
+//   - eviction pops the oldest diff, on which nothing depends;
+//   - put() diffs the previous newest against the new state, exactly.
 //
 // All public methods are thread-safe: the CheckpointWorker writes from its
 // background thread while the controller's recovery path reads.
@@ -34,82 +32,83 @@
 
 namespace legosdn::checkpoint {
 
-/// A materialized (fully composed) snapshot, as handed to restore paths.
+/// A whole snapshot, as handed to restore paths.
 struct Snapshot {
   std::uint64_t event_seq = 0; ///< snapshot was taken *before* this event
   SimTime taken_at{};
   Bytes state;
 };
 
-/// What the delta encoder needs to know about an app's newest snapshot.
-struct BaseInfo {
-  std::vector<std::uint64_t> hashes; ///< chunk map of the newest snapshot
-  std::size_t state_size = 0;
-  std::uint64_t deltas_since_full = 0; ///< chain length at the tail
-};
-
 class SnapshotStore {
 public:
-  explicit SnapshotStore(std::size_t keep_per_app = 8, CodecConfig codec = {})
-      : keep_(keep_per_app == 0 ? 1 : keep_per_app), codec_(codec) {}
+  explicit SnapshotStore(std::size_t keep_per_app = 8)
+      : keep_(keep_per_app == 0 ? 1 : keep_per_app) {}
 
-  /// Insert an encoded snapshot (newest last). A delta whose predecessor is
-  /// missing (first snapshot of an app, or the app was cleared underneath
-  /// an in-flight encode) cannot be chained and is dropped — the counter
-  /// `stats().orphan_deltas_dropped` records it.
-  void put(AppId app, EncodedSnapshot snap);
+  /// What one put added to the store.
+  struct Put {
+    bool first = false; ///< the app had no snapshot before
+    /// The whole state for a first put, else the bytes of the backward diff
+    /// the previous newest snapshot became.
+    std::size_t stored_bytes = 0;
+  };
 
-  /// Materialize the most recent snapshot, if any.
+  /// Make `state` the app's newest snapshot (seqs must not decrease). The
+  /// previous newest is kept as the chunks that rebuild it from `state`, and
+  /// the oldest beyond keep_per_app are dropped.
+  Put put(AppId app, std::uint64_t event_seq, SimTime taken_at, Bytes state);
+
+  /// The most recent snapshot, if any.
   std::optional<Snapshot> latest(AppId app) const;
 
-  /// Materialize the newest snapshot with event_seq <= seq (for multi-event
-  /// fault recovery).
+  /// The newest snapshot with event_seq <= seq (for multi-event fault
+  /// recovery).
   std::optional<Snapshot> at_or_before(AppId app, std::uint64_t seq) const;
 
-  /// Materialize the oldest retained snapshot (delta-debugging base).
+  /// The oldest retained snapshot (delta-debugging base).
   std::optional<Snapshot> oldest(AppId app) const;
 
-  /// event_seq of the newest stored snapshot (nullopt if none). Cheap: no
-  /// materialization.
+  /// event_seq of the newest / oldest retained snapshot (nullopt if none).
+  /// Cheap: nothing is rebuilt.
   std::optional<std::uint64_t> latest_seq(AppId app) const;
-
-  /// Chunk map of the newest stored snapshot, for encoding the next delta.
-  std::optional<BaseInfo> base_info(AppId app) const;
+  std::optional<std::uint64_t> oldest_seq(AppId app) const;
 
   /// event_seq of every retained snapshot, oldest first (introspection).
   std::vector<std::uint64_t> seqs(AppId app) const;
 
   std::size_t count(AppId app) const;
-  std::size_t total_bytes() const; ///< stored (encoded) bytes across apps
+  /// Stored bytes across apps: each newest state, plus every diff's chunk
+  /// bytes and per-chunk overhead.
+  std::size_t total_bytes() const;
   void clear(AppId app);
 
   struct StoreStats {
-    std::uint64_t fulls_stored = 0;
-    std::uint64_t deltas_stored = 0;
-    std::uint64_t rebases = 0; ///< evictions that materialized a new base
-    std::uint64_t orphan_deltas_dropped = 0;
-    std::uint64_t compose_failures = 0; ///< corrupt chain detected on read
-    std::uint64_t logical_bytes = 0;    ///< uncompressed state bytes retained
+    std::uint64_t compose_failures = 0; ///< a diff failed validation on read
+    std::uint64_t logical_bytes = 0;    ///< state bytes of every retained snapshot
   };
   StoreStats stats() const;
 
-  const CodecConfig& codec() const noexcept { return codec_; }
-
 private:
-  using Chain = std::deque<EncodedSnapshot>;
+  /// An older snapshot: the chunks that rebuild it from the next newer one.
+  struct Diff {
+    std::uint64_t event_seq = 0;
+    SimTime taken_at{};
+    std::size_t size = 0; ///< its state's size
+    std::vector<DirtyChunk> chunks;
+  };
+  struct History {
+    std::deque<Diff> older; ///< oldest first; older.back() diffs from newest
+    Snapshot newest;
+  };
 
-  /// Compose chain[0..idx] into raw state bytes. Returns nullopt (and bumps
-  /// compose_failures) if the chain is corrupt.
-  std::optional<Bytes> materialize(const Chain& q, std::size_t idx) const;
+  /// Rebuild the snapshot `back` diffs behind the newest (0 = the newest).
+  /// Returns nullopt (and bumps compose_failures) if a diff is corrupt.
+  std::optional<Snapshot> rebuild(const History& h, std::size_t back) const;
 
-  std::optional<Snapshot> snapshot_at(const Chain& q, std::size_t idx) const;
-
-  void evict_front(Chain& q);
+  void drop(const Diff& d);
 
   mutable std::mutex mu_;
-  std::unordered_map<AppId, Chain> by_app_;
+  std::unordered_map<AppId, History> by_app_;
   std::size_t keep_;
-  CodecConfig codec_;
   std::size_t total_bytes_ = 0;
   mutable StoreStats stats_{};
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <set>
 
 #include "common/log.hpp"
@@ -29,7 +28,7 @@ LegoController::LegoController(netsim::Network& net, LegoConfig cfg)
     : ctl::Controller(net),
       cfg_(std::move(cfg)),
       netlog_(net, cfg_.netlog),
-      snapshots_(cfg_.snapshot_keep, cfg_.checkpoint.codec),
+      snapshots_(cfg_.snapshot_keep),
       ckpt_worker_(snapshots_,
                    {cfg_.checkpoint.async, cfg_.checkpoint.max_queue,
                     cfg_.checkpoint.encode_delay}),
@@ -51,7 +50,7 @@ AppId LegoController::add_app(ctl::AppPtr app) {
   const std::size_t shards = cfg_.dispatch.shards;
   if (shards > 1 && app->clone() != nullptr) {
     // Dpid-partitionable state: one clone per shard, each a full citizen —
-    // own AppId, isolation domain, checkpoint chain, event log, recovery.
+    // own AppId, isolation domain, checkpoint history, event log, recovery.
     // The clone on lane s only ever sees events whose dpid hashes to s, so
     // the union of clone states equals the serial app's state.
     AppId first{};
@@ -105,24 +104,14 @@ void LegoController::upgrade_restart() {
   start();
 }
 
-std::uint64_t LegoController::effective_checkpoint_every(AppId app) const {
-  auto it = per_app_.find(app);
-  const std::uint64_t base = cfg_.checkpoint_every ? cfg_.checkpoint_every : 1;
-  if (it == per_app_.end() || it->second.effective_every == 0) return base;
-  return it->second.effective_every;
-}
-
 void LegoController::maybe_checkpoint(appvisor::AppEntry& entry, const ctl::Event& e) {
   PerApp& pa = per_app_[entry.id];
-  const std::uint64_t every =
-      pa.effective_every ? pa.effective_every
-                         : (cfg_.checkpoint_every ? cfg_.checkpoint_every : 1);
+  const std::uint64_t every = cfg_.checkpoint_every ? cfg_.checkpoint_every : 1;
   const bool due = every <= 1 || pa.seen - pa.last_checkpoint >= every ||
                    pa.last_checkpoint == 0;
   if (due) {
-    // The hot path pays only for the capture + queue handoff; chunk hashing,
-    // delta diffing, compression and store insertion run on the worker (§5).
-    const auto t0 = std::chrono::steady_clock::now();
+    // The hot path pays only for the capture + queue handoff; diffing and
+    // store insertion run on the worker (§5).
     auto snap = entry.domain->snapshot();
     if (snap) {
       {
@@ -130,40 +119,17 @@ void LegoController::maybe_checkpoint(appvisor::AppEntry& entry, const ctl::Even
         lego_stats_.checkpoints += 1;
         lego_stats_.checkpoint_bytes += snap.value().size();
       }
-      const std::uint64_t interval =
-          pa.last_checkpoint ? pa.seen - pa.last_checkpoint : 1;
       ckpt_worker_.submit(entry.id, pa.seen, net_.now(), std::move(snap).value());
       pa.last_checkpoint = pa.seen;
-
-      // Adaptive cadence: estimate the hot-path cost amortized over the
-      // events this checkpoint covers, and widen when it blows the budget.
-      const auto& ad = cfg_.checkpoint.adaptive;
-      if (ad.enabled) {
-        const double cost_us = std::chrono::duration<double, std::micro>(
-                                   std::chrono::steady_clock::now() - t0)
-                                   .count();
-        const double per_event =
-            cost_us / static_cast<double>(interval ? interval : 1);
-        pa.cost_ewma_us =
-            pa.cost_ewma_us == 0 ? per_event
-                                 : 0.7 * pa.cost_ewma_us + 0.3 * per_event;
-        const std::uint64_t cur = pa.effective_every ? pa.effective_every
-                                  : cfg_.checkpoint_every ? cfg_.checkpoint_every
-                                                          : 1;
-        if (pa.cost_ewma_us > ad.budget_us_per_event && cur < ad.max_every) {
-          pa.effective_every = std::min(cur * 2, ad.max_every);
-          std::lock_guard<std::mutex> lk(lego_mu_);
-          lego_stats_.adaptive_widens += 1;
-        }
-      }
     }
   }
-  // The event log holds everything since the last *stored* checkpoint (for
-  // replay and for delta debugging). Truncation follows the store, not the
-  // capture: an async snapshot still in flight must keep its replay suffix
-  // alive in case a crash forces a fallback to an older complete snapshot.
-  if (auto stored = snapshots_.latest_seq(entry.id))
-    event_log_.truncate(entry.id, *stored);
+  // The event log holds everything since the oldest *stored* checkpoint:
+  // restore replays from the newest, and localize_fault probes from the
+  // oldest. Truncation follows the store, not the capture: an async
+  // snapshot still in flight must keep its replay suffix alive in case a
+  // crash forces a fallback to an older complete snapshot.
+  if (auto oldest = snapshots_.oldest_seq(entry.id))
+    event_log_.truncate(entry.id, *oldest);
   // The offender itself is appended before delivery so the log matches what
   // the app actually saw.
   event_log_.append(entry.id, pa.seen, e);
@@ -449,7 +415,7 @@ void LegoController::dispatch_core(ctl::Event e, std::size_t shard) {
 }
 
 bool LegoController::restore_app(appvisor::AppEntry& entry) {
-  // Composed restore: the store materializes base + deltas. If the newest
+  // Restore the newest stored snapshot (kept whole). If the newest
   // capture is still in flight on the worker, this returns the previous
   // *complete* snapshot — the replay below covers the gap from the event
   // log, which is only truncated up to stored (not captured) snapshots.
@@ -473,41 +439,39 @@ bool LegoController::restore_app(appvisor::AppEntry& entry) {
   // With no stored snapshot at all (every capture still in flight on the
   // worker), the restart above reset the app; replaying the full log — never
   // truncated past a snapshot that has not landed — rebuilds its state.
-  if (cfg_.replay_on_restore) {
-    const PerApp& pa = per_app_[entry.id];
-    // A snapshot is taken *before* the event numbered snap->event_seq is
-    // delivered, so replay covers [snap->event_seq, offender) where the
-    // offender is the event numbered pa.seen (excluded: replaying it would
-    // just crash the app again).
-    const std::uint64_t from = snap ? snap->event_seq : 0;
-    const auto logged = event_log_.range(entry.id, from, pa.seen);
-    // A replayed event can itself crash the app (an earlier offender that is
-    // still in the log, or a multi-event bug). Mark it, rewind to the
-    // snapshot, and recompose without it: the result is always
-    //   snapshot + every non-crashing logged event, in order,
-    // independent of *which* snapshot the fallback landed on — so recovery
-    // stays deterministic even when worker timing moves the restore point.
-    std::vector<bool> skip(logged.size(), false);
-    for (std::size_t attempt = 0; attempt <= logged.size(); ++attempt) {
-      bool crashed = false;
-      for (std::size_t i = 0; i < logged.size(); ++i) {
-        if (skip[i]) continue;
-        auto outcome = entry.domain->deliver(logged[i].event, net_.now());
-        {
-          std::lock_guard<std::mutex> lk(lego_mu_);
-          lego_stats_.replayed_events += 1;
-        }
-        if (!outcome.ok()) {
-          skip[i] = true;
-          Status rewind = snap ? entry.domain->restore(snap->state)
-                               : entry.domain->restart();
-          if (!rewind) return false;
-          crashed = true;
-          break;
-        }
+  const PerApp& pa = per_app_[entry.id];
+  // A snapshot is taken *before* the event numbered snap->event_seq is
+  // delivered, so replay covers [snap->event_seq, offender) where the
+  // offender is the event numbered pa.seen (excluded: replaying it would
+  // just crash the app again).
+  const std::uint64_t from = snap ? snap->event_seq : 0;
+  const auto logged = event_log_.range(entry.id, from, pa.seen);
+  // A replayed event can itself crash the app (an earlier offender that is
+  // still in the log, or a multi-event bug). Mark it, rewind to the
+  // snapshot, and recompose without it: the result is always
+  //   snapshot + every non-crashing logged event, in order,
+  // independent of *which* snapshot the fallback landed on — so recovery
+  // stays deterministic even when worker timing moves the restore point.
+  std::vector<bool> skip(logged.size(), false);
+  for (std::size_t attempt = 0; attempt <= logged.size(); ++attempt) {
+    bool crashed = false;
+    for (std::size_t i = 0; i < logged.size(); ++i) {
+      if (skip[i]) continue;
+      auto outcome = entry.domain->deliver(logged[i].event, net_.now());
+      {
+        std::lock_guard<std::mutex> lk(lego_mu_);
+        lego_stats_.replayed_events += 1;
       }
-      if (!crashed) break;
+      if (!outcome.ok()) {
+        skip[i] = true;
+        Status rewind = snap ? entry.domain->restore(snap->state)
+                             : entry.domain->restart();
+        if (!rewind) return false;
+        crashed = true;
+        break;
+      }
     }
+    if (!crashed) break;
   }
   return true;
 }
@@ -520,15 +484,27 @@ LegoController::LocalizeResult LegoController::localize_fault(
   // Probing rewinds to the *oldest* retained checkpoint; make sure every
   // captured snapshot has landed so the probe base is as old as possible.
   ckpt_worker_.flush();
-  const std::optional<checkpoint::Snapshot> base = snapshots_.oldest(app);
-  if (!base) return out;
   const PerApp& pa = per_app_[app];
+  const auto logged = event_log_.range(app, 0, pa.seen + 1);
+  std::optional<checkpoint::Snapshot> base = snapshots_.oldest(app);
+  // The log is truncated to the oldest stored snapshot, but its per-app cap
+  // can also drop events newer than that (checkpoint_every * snapshot_keep
+  // beyond the cap): then probe from the oldest snapshot the log covers.
+  if (base && !logged.empty() && logged.front().seq > base->event_seq) {
+    base.reset();
+    for (const std::uint64_t seq : snapshots_.seqs(app)) {
+      if (seq < logged.front().seq) continue;
+      base = snapshots_.at_or_before(app, seq);
+      break;
+    }
+  }
+  if (!base) return out;
 
   // Candidate history: everything logged since the base checkpoint, plus the
   // offender itself at the end.
   std::vector<ctl::Event> events;
-  for (const auto& le : event_log_.range(app, base->event_seq, pa.seen + 1))
-    events.push_back(le.event);
+  for (const auto& le : logged)
+    if (le.seq >= base->event_seq) events.push_back(le.event);
   if (events.empty() || !(events.back() == offender)) events.push_back(offender);
 
   // Probe: rewind the live domain to the base checkpoint and replay the
@@ -561,7 +537,7 @@ void LegoController::recover(appvisor::AppEntry& entry, const ctl::Event& offend
   // Replication: ship the recovery *outcome* — the app's post-recovery
   // snapshot (or the fact it was left down) — so followers mirror what
   // actually happened instead of re-running a recovery whose ingredients
-  // (worker timing, adaptive cadence) need not be deterministic.
+  // (worker timing) need not be deterministic.
   ship_app_state(entry);
 }
 
@@ -584,19 +560,6 @@ void LegoController::recover_impl(appvisor::AppEntry& entry,
                      static_cast<unsigned long long>(entry.crashes));
   }
 
-  // A crash tightens the adaptive cadence back to the configured base:
-  // recovery quality (short replay suffixes) beats hot-path headroom while
-  // the app is misbehaving.
-  {
-    PerApp& pa = per_app_[entry.id];
-    if (pa.effective_every != 0) {
-      pa.effective_every = 0;
-      pa.cost_ewma_us = 0;
-      std::lock_guard<std::mutex> lk(lego_mu_);
-      lego_stats_.adaptive_tightens += 1;
-    }
-  }
-
   crashpad::ProblemTicket ticket;
   ticket.app = entry.domain->app_name();
   // The offender is the event most recently appended to this app's log,
@@ -609,7 +572,7 @@ void LegoController::recover_impl(appvisor::AppEntry& entry,
   ticket.crash_info = (byzantine ? "[byzantine] " : "[fail-stop] ") + crash_info;
   ticket.policy_applied = crashpad::to_string(policy);
   ticket.at = net_.now();
-  // Which checkpoint the composed restore will rewind to (the newest
+  // Which checkpoint the restore will rewind to (the newest
   // *stored* snapshot — a capture still in flight on the worker does not
   // count), and how many logged events the replay must cover.
   if (auto stored = snapshots_.latest_seq(entry.id)) {
@@ -620,10 +583,14 @@ void LegoController::recover_impl(appvisor::AppEntry& entry,
                              : 0;
   }
   // Attach the controller-log excerpt: the last few events this app saw
-  // ("the problem ticket can help developers to triage the SDN-App's bug").
+  // ("the problem ticket can help developers to triage the SDN-App's bug"),
+  // from the restore point on. The log reaches back to the oldest snapshot
+  // for localize_fault, but every ticket is kept, so the excerpt stays at
+  // the offender and the events the replay re-delivers.
   {
     const PerApp& pa = per_app_[entry.id];
-    const std::uint64_t from = pa.seen > 5 ? pa.seen - 5 : 0;
+    const std::uint64_t from =
+        std::max(pa.seen > 5 ? pa.seen - 5 : 0, ticket.restore_seq);
     for (const auto& le : event_log_.range(entry.id, from, pa.seen + 1)) {
       ticket.recent_events.push_back("#" + std::to_string(le.seq) + " " +
                                      ctl::describe(le.event));
@@ -752,7 +719,7 @@ void LegoController::follower_ingest(const ReplicaRecord& r) {
         std::lock_guard<std::mutex> lk(lego_mu_);
         lego_stats_.recoveries += 1;
       }
-      // Re-base the checkpoint chain at the synced state: a later restore on
+      // Re-base the checkpoint history at the synced state: a later restore on
       // this replica must rewind here, not to a pre-sync snapshot plus a
       // replay suffix that would re-run events the leader's recovery chose
       // to skip or transform.

@@ -79,36 +79,22 @@ struct LegoConfig {
   crashpad::PolicyTable policies{}; ///< default: Absolute Compromise
 
   /// Snapshot cadence: 1 = before every event (the paper's prototype);
-  /// k > 1 = every k events with event replay on restore (§5).
+  /// k > 1 = every k events, with the logged events since the snapshot
+  /// replayed on restore (§5).
   std::uint64_t checkpoint_every = 1;
   std::size_t snapshot_keep = 8;
-  bool replay_on_restore = true;
 
-  /// §5 "Minimizing checkpointing overheads": the incremental, off-hot-path
-  /// checkpoint pipeline (delta_codec.hpp, checkpoint_worker.hpp).
+  /// §5 "Minimizing checkpointing overheads": the off-hot-path checkpoint
+  /// pipeline (checkpoint_worker.hpp, snapshot_store.hpp).
   struct CheckpointConfig {
-    /// Encode snapshots on the background worker; the event path pays only
-    /// the state capture plus a queue handoff. false = encode inline (the
-    /// legacy synchronous behaviour, still using the chunked store format).
+    /// Store snapshots on the background worker; the event path pays only
+    /// the state capture plus a queue handoff. false = store inline.
     bool async = true;
-    /// Chunking, delta cadence (full_every) and compression.
-    checkpoint::CodecConfig codec{};
-    /// Worker queue bound; beyond it submits encode inline (backpressure).
+    /// Worker queue bound; beyond it submits store inline (backpressure).
     std::size_t max_queue = 64;
     /// Test-only artificial encode delay (keeps a snapshot observably
     /// in flight so crash-during-encode paths can be exercised).
     std::chrono::microseconds encode_delay{0};
-
-    /// Adaptive cadence: widen the effective checkpoint_every when the
-    /// observed per-event checkpoint cost exceeds the budget; tighten back
-    /// to the configured cadence after a crash (recovery wants a recent
-    /// snapshot more than the hot path wants headroom).
-    struct Adaptive {
-      bool enabled = false;
-      double budget_us_per_event = 25.0;
-      std::uint64_t max_every = 64; ///< cap on the widened cadence
-    };
-    Adaptive adaptive{};
   };
   CheckpointConfig checkpoint{};
 
@@ -153,9 +139,10 @@ public:
   /// §5 "Handling failures that span multiple transactions": find the
   /// minimal sub-sequence of the app's logged event history (ending with
   /// `offender`) that reproduces the crash. Probes the app's live isolation
-  /// domain: each probe restores the oldest retained checkpoint and replays
-  /// a candidate sequence. On return the app is restored to its latest
-  /// checkpoint. Requires a deterministic bug (reproduced=false otherwise).
+  /// domain: each probe restores the oldest retained checkpoint whose events
+  /// the log still holds and replays a candidate sequence. On return the app
+  /// is restored to its latest checkpoint. Requires a deterministic bug
+  /// (reproduced=false otherwise).
   struct LocalizeResult {
     std::vector<ctl::Event> minimal;
     std::size_t probes = 0;
@@ -183,7 +170,7 @@ public:
   /// faults are noted but never recovered locally — the leader's
   /// authoritative recovery outcome arrives as kAppState/kAppDown). kTxn
   /// drives this replica's shadow-only NetLog through the same lifecycle
-  /// step. kAppState restores the app and re-bases its checkpoint chain;
+  /// step. kAppState restores the app and re-bases its checkpoint history;
   /// kAppDown shuts the app down.
   void follower_ingest(const ReplicaRecord& r);
 
@@ -225,10 +212,6 @@ public:
   /// Tests and orderly shutdown use this; the event path never does.
   void flush_checkpoints() { ckpt_worker_.flush(); }
 
-  /// Effective checkpoint cadence for one app right now (equals
-  /// cfg.checkpoint_every unless the adaptive policy widened it).
-  std::uint64_t effective_checkpoint_every(AppId app) const;
-
   struct LegoStats {
     std::uint64_t failstop_crashes = 0;
     std::uint64_t byzantine_failures = 0;
@@ -252,13 +235,12 @@ public:
                                           ///< distinct from fail-stop crashes
 
     // Checkpoint pipeline (merged from the worker at lego_stats() time).
-    std::uint64_t full_snapshots = 0;     ///< snapshots stored as full bases
-    std::uint64_t delta_snapshots = 0;    ///< snapshots stored as deltas
-    std::uint64_t checkpoint_stored_bytes = 0; ///< encoded bytes in the store
+    std::uint64_t full_snapshots = 0;     ///< puts into an empty history
+    std::uint64_t delta_snapshots = 0;    ///< puts that made a backward diff
+    std::uint64_t checkpoint_stored_bytes = 0; ///< bytes the puts added: first
+                                               ///< states whole, then diffs
     std::uint64_t checkpoint_bytes_saved = 0;  ///< raw captures minus stored
     std::uint64_t inline_encodes = 0;     ///< backpressure fell back inline
-    std::uint64_t adaptive_widens = 0;    ///< cadence doublings (over budget)
-    std::uint64_t adaptive_tightens = 0;  ///< cadence resets (after a crash)
     Histogram encode_lag_us;              ///< capture-to-stored latency
   };
   /// Controller counters plus the checkpoint worker's, merged. Returns a
@@ -278,8 +260,6 @@ private:
     std::uint64_t seen = 0;          ///< events offered to this app
     std::uint64_t missed = 0;        ///< offered while the app was down
     std::uint64_t last_checkpoint = 0;
-    std::uint64_t effective_every = 0; ///< adaptive cadence (0 = configured)
-    double cost_ewma_us = 0;           ///< per-event checkpoint cost estimate
   };
 
   /// Deliver one event to one app with full transaction + verification.

@@ -16,9 +16,9 @@
 //
 // Why decision shipping rather than fully independent followers: replaying
 // raw events through an independent pipeline diverges the moment recovery
-// has a nondeterministic ingredient (process-backend timing, adaptive
-// checkpoint cadence), and byzantine verification on a follower would need
-// the follower's own view of the network mid-flight. Shipping the leader's
+// has a nondeterministic ingredient (process-backend timing), and byzantine
+// verification on a follower would need the follower's own view of the
+// network mid-flight. Shipping the leader's
 // *outcomes* (txn records, recovery snapshots) makes the follower a replica
 // of what actually happened.
 #pragma once

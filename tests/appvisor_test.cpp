@@ -141,7 +141,7 @@ TEST(Rpc, EventDoneRoundTripWithBundle) {
   for (const auto& [base, after] : kDeltas) {
     const std::vector<std::uint8_t> from = base ? before : std::vector<std::uint8_t>{};
     p.state = StateDelta{base, static_cast<std::uint32_t>(after.size()),
-                         checkpoint::diff_chunks(from, after, kStateChunk)};
+                         checkpoint::diff_chunks(from, after)};
     decoded = decode_event_done(encode_event_done(p));
     ASSERT_TRUE(decoded.ok());
     ASSERT_EQ(decoded.value().emitted.size(), 2u);
@@ -149,7 +149,7 @@ TEST(Rpc, EventDoneRoundTripWithBundle) {
         << "base " << base << " size " << after.size();
     std::vector<std::uint8_t> mirror = from;
     ASSERT_TRUE(checkpoint::apply_chunks(mirror, decoded.value().state->size,
-                                         decoded.value().state->dirty, kStateChunk));
+                                         decoded.value().state->dirty));
     EXPECT_EQ(mirror, after);
   }
 }
@@ -158,7 +158,7 @@ TEST(Rpc, EventDoneDropsMalformedDelta) {
   std::vector<std::uint8_t> state(2500, 0x11);
   EventDonePayload p;
   p.emitted.push_back({1, of::BarrierRequest{DatapathId{5}}});
-  const auto full = checkpoint::diff_chunks({}, state, kStateChunk); // chunks 0, 1, 2
+  const auto full = checkpoint::diff_chunks({}, state); // chunks 0, 1, 2
   auto with = [&](std::uint64_t base, std::uint32_t size, auto dirty) {
     p.state = StateDelta{base, size, std::move(dirty)};
     auto decoded = decode_event_done(encode_event_done(p));

@@ -1,7 +1,7 @@
 // End-to-end tests of the incremental, off-hot-path checkpoint pipeline:
 // crash while an encode is still in flight (restore must fall back to the
-// last *complete* snapshot and replay the gap from the event log), sync-full
-// vs async-delta restore determinism, and the adaptive checkpoint cadence.
+// last *complete* snapshot and replay the gap from the event log), sync vs
+// async restore determinism, and the pipeline's stats.
 #include <gtest/gtest.h>
 
 #include "apps/fault_injection.hpp"
@@ -78,9 +78,8 @@ TEST(CheckpointPipeline, CrashDuringInFlightEncodeFallsBackAndReplays) {
 }
 
 // Determinism: the same traffic (including a crash and recovery) must leave
-// byte-identical app state whether checkpoints are synchronous full copies
-// or asynchronous compressed deltas — the pipeline changes scheduling and
-// encoding, never recovered state.
+// byte-identical app state whether checkpoints are stored inline or on the
+// worker — the pipeline changes scheduling, never recovered state.
 TEST(CheckpointPipeline, SyncFullAndAsyncDeltaRestoreByteIdentical) {
   auto run_scenario = [](const LegoConfig& cfg) {
     auto net = netsim::Network::linear(3, 1);
@@ -105,30 +104,25 @@ TEST(CheckpointPipeline, SyncFullAndAsyncDeltaRestoreByteIdentical) {
                      inner->learned()};
   };
 
-  LegoConfig sync_full;
-  sync_full.checkpoint.async = false;
-  sync_full.checkpoint.codec.full_every = 1;
+  LegoConfig sync;
+  sync.checkpoint.async = false;
 
-  LegoConfig async_delta;
-  async_delta.checkpoint.async = true;
-  async_delta.checkpoint.codec.full_every = 4;
-  async_delta.checkpoint.codec.compress = true;
+  LegoConfig async;
+  async.checkpoint.async = true;
 
-  const auto [state_a, learned_a] = run_scenario(sync_full);
-  const auto [state_b, learned_b] = run_scenario(async_delta);
+  const auto [state_a, learned_a] = run_scenario(sync);
+  const auto [state_b, learned_b] = run_scenario(async);
   EXPECT_FALSE(state_a.empty());
   EXPECT_EQ(state_a, state_b);
   EXPECT_EQ(learned_a, learned_b);
 }
 
-// The pipeline stats surface in LegoStats: deltas happen, bytes are saved,
-// and every capture's encode lag is recorded.
+// The pipeline stats surface in LegoStats: backward diffs happen, bytes are
+// saved, and every capture's encode lag is recorded.
 TEST(CheckpointPipeline, DeltaPipelineStatsSurfaceInLegoStats) {
   auto net = netsim::Network::linear(2, 1);
-  LegoConfig cfg;
-  cfg.checkpoint.codec.full_every = 4;
-  LegoController c(*net, cfg);
-  // 64 KiB of state, one dirty page per event: the delta encoder's case.
+  LegoController c(*net);
+  // 64 KiB of state, one dirty page per event: the backward diffs' case.
   c.add_app(std::make_shared<apps::StatefulApp>(64 * 1024, 1));
   ASSERT_TRUE(c.start_system());
   c.run();
@@ -143,37 +137,6 @@ TEST(CheckpointPipeline, DeltaPipelineStatsSurfaceInLegoStats) {
   EXPECT_GT(stats.checkpoint_stored_bytes, 0u);
   EXPECT_EQ(stats.encode_lag_us.count(), stats.checkpoints);
   EXPECT_EQ(stats.full_snapshots + stats.delta_snapshots, stats.checkpoints);
-}
-
-// Adaptive cadence: when the observed per-event checkpoint cost blows the
-// budget, the effective cadence widens (fewer, cheaper checkpoints); a crash
-// tightens it back so recovery always has a recent snapshot.
-TEST(CheckpointPipeline, AdaptiveCadenceWidensThenTightensAfterCrash) {
-  auto net = netsim::Network::linear(2, 1);
-  LegoConfig cfg;
-  cfg.checkpoint.adaptive.enabled = true;
-  cfg.checkpoint.adaptive.budget_us_per_event = 1e-6; // any capture overruns
-  cfg.checkpoint.adaptive.max_every = 16;
-  LegoController c(*net, cfg);
-  auto inner = std::make_shared<apps::StatefulApp>(256 * 1024);
-  const AppId app =
-      c.add_app(std::make_shared<apps::CrashyApp>(inner, poison_packet_trigger()));
-  ASSERT_TRUE(c.start_system());
-  c.run();
-
-  EXPECT_EQ(c.effective_checkpoint_every(app), cfg.checkpoint_every);
-  for (int i = 0; i < 12; ++i) send_and_pump(*net, c, i % 2, 1 - i % 2);
-  EXPECT_GT(c.effective_checkpoint_every(app), cfg.checkpoint_every);
-  EXPECT_LE(c.effective_checkpoint_every(app), cfg.checkpoint.adaptive.max_every);
-  EXPECT_GT(c.lego_stats().adaptive_widens, 0u);
-
-  // A crash resets the cadence: a stale checkpoint just cost a long replay.
-  send_and_pump(*net, c, 0, 1, 666);
-  EXPECT_EQ(c.effective_checkpoint_every(app), cfg.checkpoint_every);
-  EXPECT_GE(c.lego_stats().adaptive_tightens, 1u);
-  EXPECT_EQ(c.lego_stats().failstop_crashes, 1u);
-  // And the app still works afterwards.
-  EXPECT_TRUE(send_and_pump(*net, c, 0, 1));
 }
 
 } // namespace

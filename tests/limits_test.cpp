@@ -2,6 +2,8 @@
 // wedged-app deadline under process isolation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "appvisor/process_domain.hpp"
 #include "apps/fault_injection.hpp"
 #include "apps/hub.hpp"
@@ -114,6 +116,7 @@ TEST(Tickets, CarryRecentEventHistory) {
   c.run();
   send_and_pump(*net, c, 0, 1);
   send_and_pump(*net, c, 1, 0);
+  c.flush_checkpoints(); // a snapshot has landed, so the ticket has a restore point
   send_and_pump(*net, c, 0, 1, 666);
   ASSERT_EQ(c.tickets().count(), 1u);
   const auto& t = c.tickets().all()[0];
@@ -121,6 +124,13 @@ TEST(Tickets, CarryRecentEventHistory) {
   // The last history entry is the offender itself.
   EXPECT_NE(t.recent_events.back().find("packet-in"), std::string::npos);
   EXPECT_NE(t.to_string().find("recent events:"), std::string::npos);
+  // The excerpt starts at the restore point: the events the replay
+  // re-delivers, then the offender. The event log reaches further back (to
+  // the oldest snapshot), but every ticket is kept, so the excerpt stays
+  // that short.
+  ASSERT_TRUE(t.restore_available);
+  EXPECT_EQ(t.recent_events.size(), std::min<std::uint64_t>(t.replay_span, 5) + 1);
+  EXPECT_GE(t.event_seq, 4u); // the log holds more than the excerpt shows
 }
 
 // A wedged (infinite-loop) app under process isolation: the proxy's deliver

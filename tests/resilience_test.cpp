@@ -32,6 +32,36 @@ of::PacketIn pin_with_port(std::uint16_t tp) {
   return pin;
 }
 
+/// Crashes on a :666 packet-in only after a switch-down of s2 armed it: the
+/// §5 multi-event bug that fault localization must pin on both events.
+class ArmThenFire : public ctl::App {
+public:
+  std::string name() const override { return "arm-then-fire"; }
+  std::vector<ctl::EventType> subscriptions() const override {
+    return {ctl::EventType::kPacketIn, ctl::EventType::kSwitchDown};
+  }
+  ctl::Disposition handle_event(const ctl::Event& e, ctl::ServiceApi&) override {
+    if (const auto* d = std::get_if<ctl::SwitchDown>(&e)) {
+      if (d->dpid == DatapathId{2}) armed_ = true;
+    }
+    if (const auto* pin = std::get_if<of::PacketIn>(&e)) {
+      if (armed_ && pin->packet.hdr.tp_dst == 666)
+        throw ctl::AppCrash("armed bug fired");
+    }
+    return ctl::Disposition::kContinue;
+  }
+  std::vector<std::uint8_t> snapshot_state() const override {
+    return {armed_ ? std::uint8_t{1} : std::uint8_t{0}};
+  }
+  void restore_state(std::span<const std::uint8_t> s) override {
+    armed_ = !s.empty() && s[0] != 0;
+  }
+  void reset() override { armed_ = false; }
+
+private:
+  bool armed_ = false;
+};
+
 TEST(CrashStorm, ProcessDomainSurvivesManyRespawns) {
   appvisor::ProcessDomain d(
       std::make_shared<apps::CrashyApp>(std::make_shared<apps::Hub>(), poison()));
@@ -166,39 +196,10 @@ TEST(Recovery, EquivalenceFallsBackToIgnoreWhenTransformCrashesToo) {
 TEST(Localization, ControllerFindsMultiEventCulpritsInVivo) {
   // §5: a crash caused by a *combination* of events is localized by probing
   // the app's own isolation domain against restored checkpoints.
-  class ArmThenFire : public ctl::App {
-  public:
-    std::string name() const override { return "arm-then-fire"; }
-    std::vector<ctl::EventType> subscriptions() const override {
-      return {ctl::EventType::kPacketIn, ctl::EventType::kSwitchDown};
-    }
-    ctl::Disposition handle_event(const ctl::Event& e, ctl::ServiceApi&) override {
-      if (const auto* d = std::get_if<ctl::SwitchDown>(&e)) {
-        if (d->dpid == DatapathId{2}) armed_ = true;
-      }
-      if (const auto* pin = std::get_if<of::PacketIn>(&e)) {
-        if (armed_ && pin->packet.hdr.tp_dst == 666)
-          throw ctl::AppCrash("armed bug fired");
-      }
-      return ctl::Disposition::kContinue;
-    }
-    std::vector<std::uint8_t> snapshot_state() const override {
-      return {armed_ ? std::uint8_t{1} : std::uint8_t{0}};
-    }
-    void restore_state(std::span<const std::uint8_t> s) override {
-      armed_ = !s.empty() && s[0] != 0;
-    }
-    void reset() override { armed_ = false; }
-
-  private:
-    bool armed_ = false;
-  };
-
   auto net = netsim::Network::linear(3, 1);
   lego::LegoConfig cfg;
   cfg.checkpoint_every = 1000; // effectively: only the initial checkpoint
   cfg.snapshot_keep = 4;
-  cfg.replay_on_restore = false;
   lego::LegoController c(*net, cfg);
   const AppId app = c.add_app(std::make_shared<ArmThenFire>());
   ASSERT_TRUE(c.start_system());
@@ -239,6 +240,97 @@ TEST(Localization, ControllerFindsMultiEventCulpritsInVivo) {
   EXPECT_EQ(std::get<of::PacketIn>(result.minimal[1]).packet.hdr.tp_dst, 666);
   EXPECT_GT(result.probes, 2u);
   // The app was left alive and consistent.
+  EXPECT_TRUE(c.appvisor().entries()[0].domain->alive());
+}
+
+/// Drain the controller, then let every captured checkpoint land.
+void settle(lego::LegoController& c) {
+  while (c.run() > 0) {
+  }
+  c.flush_checkpoints();
+}
+
+of::PacketIn offender_for(const of::Packet& fatal) {
+  of::PacketIn offender;
+  offender.dpid = DatapathId{1};
+  offender.in_port = PortNo{1};
+  offender.packet = fatal;
+  return offender;
+}
+
+TEST(Recovery, LocalizesMultiEventBugWithPerEventCheckpoints) {
+  // Under the default cadence every event is checkpointed, so the newest
+  // snapshot is one event old while the oldest retained one, which
+  // localize_fault probes from, predates the arming switch-down. The event
+  // log must reach back to that oldest snapshot.
+  for (const std::uint64_t every : {std::uint64_t{1}, std::uint64_t{2}}) {
+    SCOPED_TRACE("checkpoint_every " + std::to_string(every));
+    auto net = netsim::Network::linear(3, 1);
+    lego::LegoConfig cfg;
+    cfg.checkpoint_every = every;
+    lego::LegoController c(*net, cfg);
+    const AppId app = c.add_app(std::make_shared<ArmThenFire>());
+    ASSERT_TRUE(c.start_system());
+    settle(c);
+    auto noise = [&] {
+      net->inject_from_host(net->hosts()[0].mac, host_packet(*net, 0, 2, 80));
+      settle(c);
+    };
+    for (int i = 0; i < 4; ++i) noise();
+    net->set_switch_state(DatapathId{2}, false); // arms the bug
+    settle(c);
+    net->set_switch_state(DatapathId{2}, true);
+    settle(c);
+    for (int i = 0; i < 3; ++i) noise();
+    const of::Packet fatal = host_packet(*net, 0, 2, 666);
+    net->inject_from_host(net->hosts()[0].mac, fatal);
+    settle(c);
+    ASSERT_EQ(c.lego_stats().failstop_crashes, 1u);
+    ASSERT_GT(c.snapshots().count(app), 2u);
+
+    const auto result = c.localize_fault(app, ctl::Event{offender_for(fatal)});
+    ASSERT_TRUE(result.reproduced) << result.probes << " probes";
+    ASSERT_EQ(result.minimal.size(), 2u);
+    EXPECT_EQ(std::get<ctl::SwitchDown>(result.minimal[0]).dpid, DatapathId{2});
+    EXPECT_EQ(std::get<of::PacketIn>(result.minimal[1]).packet.hdr.tp_dst, 666);
+    EXPECT_TRUE(c.appvisor().entries()[0].domain->alive());
+  }
+}
+
+TEST(Localization, ProbesFromOldestLoggedSnapshotWhenLogCapBinds) {
+  // checkpoint_every * snapshot_keep beyond the event log's 1024-event cap:
+  // the oldest snapshot (seq 1, unarmed) is older than the first logged
+  // event, and the arming switch-down fell out of the log. Probing from it
+  // could never reproduce the crash; the oldest snapshot the log covers
+  // (seq 201, already armed) reproduces it with the fatal packet alone.
+  auto net = netsim::Network::linear(3, 1);
+  lego::LegoConfig cfg;
+  cfg.checkpoint_every = 200;
+  lego::LegoController c(*net, cfg);
+  const AppId app = c.add_app(std::make_shared<ArmThenFire>());
+  ASSERT_TRUE(c.start_system());
+  settle(c);
+  auto noise = [&] {
+    net->inject_from_host(net->hosts()[0].mac, host_packet(*net, 0, 2, 80));
+    while (c.run() > 0) {
+    }
+  };
+  for (int i = 0; i < 10; ++i) noise();
+  net->set_switch_state(DatapathId{2}, false); // arms the bug
+  settle(c);
+  net->set_switch_state(DatapathId{2}, true);
+  settle(c);
+  for (int i = 0; i < 1100; ++i) noise();
+  const of::Packet fatal = host_packet(*net, 0, 2, 666);
+  net->inject_from_host(net->hosts()[0].mac, fatal);
+  settle(c);
+  ASSERT_EQ(c.lego_stats().failstop_crashes, 1u);
+  ASSERT_EQ(c.snapshots().oldest_seq(app), 1u);
+
+  const auto result = c.localize_fault(app, ctl::Event{offender_for(fatal)});
+  ASSERT_TRUE(result.reproduced);
+  ASSERT_EQ(result.minimal.size(), 1u);
+  EXPECT_EQ(std::get<of::PacketIn>(result.minimal[0]).packet.hdr.tp_dst, 666);
   EXPECT_TRUE(c.appvisor().entries()[0].domain->alive());
 }
 

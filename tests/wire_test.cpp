@@ -142,7 +142,7 @@ appvisor::StateDelta random_delta(Rng& rng) {
     case 3: after.resize(rng.below(after.size() + 1)); break;       // shrink
   }
   d.size = static_cast<std::uint32_t>(after.size());
-  d.dirty = checkpoint::diff_chunks(before, after, appvisor::kStateChunk);
+  d.dirty = checkpoint::diff_chunks(before, after);
   return d;
 }
 

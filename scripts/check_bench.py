@@ -192,10 +192,14 @@ def check_failover(path: Path, doc) -> None:
 
 
 def check_isolation_latency(path: Path, doc) -> None:
-    """Schema for BENCH_isolation_latency.json (experiments F1/C1): every
-    process row reports rpc_calls_per_event, and a per-event checkpoint costs
-    at most one RPC per event (the stub ships the post-event state on the
-    deliver's reply). A count, not a timing, so it holds on any runner."""
+    """Schema for BENCH_isolation_latency.json (experiments F1/C1): the run
+    records host_cpus, every process row reports rpc_calls_per_event, and a
+    per-event checkpoint costs at most one RPC per event (the stub ships the
+    post-event state on the deliver's reply). Counts, not timings, so they
+    hold on any runner."""
+    cpus = doc.get("host_cpus")
+    if not isinstance(cpus, int) or isinstance(cpus, bool) or cpus < 1:
+        fail(f"{path}: 'host_cpus' must be a positive integer")
     rows = doc.get("paths")
     if not isinstance(rows, list) or not rows:
         fail(f"{path}: 'paths' must be a non-empty list")

@@ -96,13 +96,17 @@ const PortNo* LearningSwitch::lookup(DatapathId dpid, const MacAddress& mac) con
 }
 
 std::vector<std::uint8_t> LearningSwitch::snapshot_state() const {
-  constexpr std::size_t kRecordBytes = 8 + 6 + 2; // dpid, mac, port
+  // u32 count, then one fixed 16-byte record per entry: dpid (8), mac (6),
+  // port (2). The table is sorted already, so this is one pass of stores.
+  constexpr std::size_t kRecordBytes = 16;
   ByteWriter w(4 + table_.size() * kRecordBytes);
   w.u32(static_cast<std::uint32_t>(table_.size()));
+  std::uint8_t* p = w.claim(table_.size() * kRecordBytes);
   for (const Entry& e : table_) {
-    w.u64(raw(e.key.dpid));
-    w.mac(MacAddress::from_uint64(e.key.mac));
-    w.u16(raw(e.port));
+    be::store_u64(p, raw(e.key.dpid));
+    // The 48-bit MAC and the port together fill the record's second word.
+    be::store_u64(p + 8, (e.key.mac << 16) | raw(e.port));
+    p += kRecordBytes;
   }
   return std::move(w).take();
 }

@@ -221,8 +221,7 @@ Result<RpcFrame> ProcessDomain::call(RpcType req, std::span<const std::uint8_t> 
   if (!alive_ || !stub_addr_.valid())
     return Error{Error::Code::kCrashed, "stub not running"};
   const std::uint64_t seq = next_seq_++;
-  std::vector<std::uint8_t> p(payload.begin(), payload.end());
-  const std::vector<std::uint8_t> wire = encode_frame({req, seq, std::move(p)});
+  const std::vector<std::uint8_t> wire = encode_frame(req, seq, payload);
   tstats_.rpc_calls += 1;
   const auto t0 = std::chrono::steady_clock::now();
   if (auto st = chan_->send_frame(stub_addr_, wire); !st) return st.error();

@@ -4,12 +4,17 @@
 
 namespace legosdn::appvisor {
 
-std::vector<std::uint8_t> encode_frame(const RpcFrame& f) {
-  ByteWriter w(16 + f.payload.size());
-  w.u8(static_cast<std::uint8_t>(f.type));
-  w.u64(f.seq);
-  w.blob(f.payload);
+std::vector<std::uint8_t> encode_frame(RpcType type, std::uint64_t seq,
+                                       std::span<const std::uint8_t> payload) {
+  ByteWriter w(13 + payload.size());
+  w.u8(static_cast<std::uint8_t>(type));
+  w.u64(seq);
+  w.blob(payload);
   return std::move(w).take();
+}
+
+std::vector<std::uint8_t> encode_frame(const RpcFrame& f) {
+  return encode_frame(f.type, f.seq, f.payload);
 }
 
 Result<RpcFrame> decode_frame(std::span<const std::uint8_t> bytes) {

@@ -45,6 +45,10 @@ struct RpcFrame {
 };
 
 std::vector<std::uint8_t> encode_frame(const RpcFrame& f);
+/// The same bytes as encode_frame(RpcFrame{type, seq, payload}), without
+/// copying the payload into a frame first.
+std::vector<std::uint8_t> encode_frame(RpcType type, std::uint64_t seq,
+                                       std::span<const std::uint8_t> payload);
 Result<RpcFrame> decode_frame(std::span<const std::uint8_t> bytes);
 
 // --- payload helpers ---

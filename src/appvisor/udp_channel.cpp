@@ -9,34 +9,11 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <utility>
+
+#include "common/bytes.hpp"
 
 namespace legosdn::appvisor {
-namespace {
-
-void put_u64(std::uint8_t* p, std::uint64_t v) {
-  for (int i = 7; i >= 0; --i) {
-    p[i] = static_cast<std::uint8_t>(v & 0xFF);
-    v >>= 8;
-  }
-}
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | p[i];
-  return v;
-}
-void put_u32(std::uint8_t* p, std::uint32_t v) {
-  for (int i = 3; i >= 0; --i) {
-    p[i] = static_cast<std::uint8_t>(v & 0xFF);
-    v >>= 8;
-  }
-}
-std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v = (v << 8) | p[i];
-  return v;
-}
-
-} // namespace
 
 UdpChannel::~UdpChannel() { close(); }
 
@@ -101,15 +78,19 @@ Status UdpChannel::send_frame(const PeerAddr& to, std::span<const std::uint8_t> 
   const std::uint64_t id = next_frame_id_++;
   const std::size_t n_chunks =
       frame.empty() ? 1 : (frame.size() + kChunkPayload - 1) / kChunkPayload;
-  std::vector<std::uint8_t> buf(kChunkHeader + kChunkPayload);
+  // One reused datagram buffer, grown to the largest chunk this channel has
+  // sent (a small RPC never touches more than its own bytes).
+  const std::size_t max_chunk = kChunkHeader + std::min(kChunkPayload, frame.size());
+  if (chunk_buf_.size() < max_chunk) chunk_buf_.resize(max_chunk);
+  std::uint8_t* buf = chunk_buf_.data();
   for (std::size_t c = 0; c < n_chunks; ++c) {
     const std::size_t off = c * kChunkPayload;
     const std::size_t len = std::min(kChunkPayload, frame.size() - off);
-    put_u64(buf.data(), id);
-    put_u32(buf.data() + 8, static_cast<std::uint32_t>(c));
-    put_u32(buf.data() + 12, static_cast<std::uint32_t>(n_chunks));
-    if (len) std::memcpy(buf.data() + kChunkHeader, frame.data() + off, len);
-    if (auto st = send_datagram(to, {buf.data(), kChunkHeader + len}); !st) return st;
+    be::store_u64(buf, id);
+    be::store_u32(buf + 8, static_cast<std::uint32_t>(c));
+    be::store_u32(buf + 12, static_cast<std::uint32_t>(n_chunks));
+    if (len) std::memcpy(buf + kChunkHeader, frame.data() + off, len);
+    if (auto st = send_datagram(to, {buf, kChunkHeader + len}); !st) return st;
   }
   flush_datagrams(to);
   stats_.frames_sent += 1;
@@ -120,7 +101,9 @@ Result<UdpChannel::Received> UdpChannel::recv_frame(int timeout_ms) {
   if (fd_ < 0) return Error{Error::Code::kIo, "channel not open"};
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
-  std::vector<std::uint8_t> buf(kChunkHeader + kChunkPayload);
+  // One datagram of the largest chunk size, allocated once per channel.
+  if (recv_buf_.empty()) recv_buf_.resize(kChunkHeader + kChunkPayload);
+  std::uint8_t* buf = recv_buf_.data();
 
   for (;;) {
     const auto now = std::chrono::steady_clock::now();
@@ -140,7 +123,7 @@ Result<UdpChannel::Received> UdpChannel::recv_frame(int timeout_ms) {
 
     sockaddr_in src{};
     socklen_t slen = sizeof(src);
-    const ssize_t n = ::recvfrom(fd_, buf.data(), buf.size(), 0,
+    const ssize_t n = ::recvfrom(fd_, buf, recv_buf_.size(), 0,
                                  reinterpret_cast<sockaddr*>(&src), &slen);
     if (n < 0) {
       if (errno == EINTR || errno == EAGAIN) continue;
@@ -148,9 +131,9 @@ Result<UdpChannel::Received> UdpChannel::recv_frame(int timeout_ms) {
     }
     if (static_cast<std::size_t>(n) < kChunkHeader) continue; // runt; ignore
 
-    const std::uint64_t id = get_u64(buf.data());
-    const std::uint32_t idx = get_u32(buf.data() + 8);
-    const std::uint32_t count = get_u32(buf.data() + 12);
+    const std::uint64_t id = be::load_u64(buf);
+    const std::uint32_t idx = be::load_u32(buf + 8);
+    const std::uint32_t count = be::load_u32(buf + 12);
     if (count == 0 || idx >= count) continue; // malformed; ignore
     stats_.chunks_received += 1;
 
@@ -162,10 +145,16 @@ Result<UdpChannel::Received> UdpChannel::recv_frame(int timeout_ms) {
     }
 
     PeerAddr from{ntohl(src.sin_addr.s_addr), ntohs(src.sin_port)};
+    const std::size_t len = static_cast<std::size_t>(n) - kChunkHeader;
     if (!assembling_active_ || id != assembling_id_) {
       // New frame begins; drop any partial one (the sender retried with a
       // fresh frame id, so the partial can never complete).
       if (assembling_active_) stats_.reassembly_aborts += 1;
+      if (count == 1) {
+        // The whole frame is in this datagram: no reassembly buffer.
+        assembling_active_ = false;
+        return complete(id, std::vector<std::uint8_t>(buf + kChunkHeader, buf + n), from);
+      }
       assembling_active_ = true;
       assembling_id_ = id;
       assembling_count_ = count;
@@ -183,9 +172,8 @@ Result<UdpChannel::Received> UdpChannel::recv_frame(int timeout_ms) {
       stats_.dup_chunks_dropped += 1;
       continue;
     }
-    const std::size_t len = static_cast<std::size_t>(n) - kChunkHeader;
     std::memcpy(assembling_.data() + static_cast<std::size_t>(idx) * kChunkPayload,
-                buf.data() + kChunkHeader, len);
+                buf + kChunkHeader, len);
     assembling_received_[idx] = true;
     assembling_have_ += 1;
     if (idx == assembling_count_ - 1) {
@@ -198,15 +186,19 @@ Result<UdpChannel::Received> UdpChannel::recv_frame(int timeout_ms) {
       assembling_.resize(
           static_cast<std::size_t>(assembling_count_ - 1) * kChunkPayload +
           assembling_final_len_);
-      Received out{std::move(assembling_), assembling_from_};
-      assembling_.clear();
       assembling_active_ = false;
-      has_completed_ = true;
-      last_completed_id_ = assembling_id_;
-      stats_.frames_received += 1;
-      return out;
+      return complete(assembling_id_, std::exchange(assembling_, {}), assembling_from_);
     }
   }
+}
+
+UdpChannel::Received UdpChannel::complete(std::uint64_t id,
+                                          std::vector<std::uint8_t> frame,
+                                          const PeerAddr& from) {
+  has_completed_ = true;
+  last_completed_id_ = id;
+  stats_.frames_received += 1;
+  return {std::move(frame), from};
 }
 
 } // namespace legosdn::appvisor

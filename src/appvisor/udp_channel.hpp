@@ -83,9 +83,15 @@ protected:
   Status transmit(const PeerAddr& to, std::span<const std::uint8_t> datagram);
 
 private:
+  /// Record a finished frame (straggler suppression, stats) and return it.
+  Received complete(std::uint64_t id, std::vector<std::uint8_t> frame,
+                    const PeerAddr& from);
+
   int fd_ = -1;
   std::uint16_t local_port_ = 0;
   std::uint64_t next_frame_id_ = 1;
+  std::vector<std::uint8_t> chunk_buf_; ///< send_frame's datagram, reused
+  std::vector<std::uint8_t> recv_buf_;  ///< recv_frame's datagram, reused
 
   // Reassembly state for the frame currently being received. The bitmap (not
   // a bare counter) is what makes duplicated/reordered chunks safe: a frame

@@ -31,19 +31,20 @@ std::uint64_t TicketLog::file(ProblemTicket t) {
   std::lock_guard<std::mutex> lk(mu_);
   t.id = next_id_++;
   tickets_.push_back(std::move(t));
+  if (tickets_.size() > kCapacity) tickets_.pop_front();
   return tickets_.back().id;
 }
 
 std::size_t TicketLog::count() const {
   std::lock_guard<std::mutex> lk(mu_);
-  return tickets_.size();
+  return static_cast<std::size_t>(next_id_ - 1);
 }
 
-std::vector<const ProblemTicket*> TicketLog::for_app(const std::string& app) const {
+std::vector<ProblemTicket> TicketLog::for_app(const std::string& app) const {
   std::lock_guard<std::mutex> lk(mu_);
-  std::vector<const ProblemTicket*> out;
+  std::vector<ProblemTicket> out;
   for (const auto& t : tickets_)
-    if (t.app == app) out.push_back(&t);
+    if (t.app == app) out.push_back(t);
   return out;
 }
 

@@ -230,6 +230,44 @@ TEST(LearningSwitch, SnapshotMatchesCopyAndSortEncoder) {
   }
 }
 
+// The size perfbench's isolated-learning state reaches: 1280 entries, one
+// pass of 16-byte records behind the u32 count.
+TEST(LearningSwitch, SnapshotOf1280EntriesMatchesCopyAndSortEncoder) {
+  Rng rng(1280);
+  LearningSwitch ls;
+  CopyAndSortTable ref;
+  std::uint32_t xid = 1;
+  while (ls.learned() < 1280) {
+    of::PacketIn pin;
+    pin.dpid = DatapathId{rng.below(4) + 1};
+    pin.in_port = PortNo{static_cast<std::uint16_t>(rng.below(64) + 1)};
+    // Full-width unicast sources, so every MAC byte and port byte is exercised.
+    pin.packet = test::packet_between(
+        MacAddress::from_uint64(rng.next() & 0xFEFFFFFFFFFFULL),
+        MacAddress::from_uint64(rng.below(400)));
+    const ctl::Event e = pin;
+    appvisor::CollectingServiceApi api(kSimStart, &xid);
+    ls.handle_event(e, api);
+    ref.apply(e);
+  }
+  const auto state = ls.snapshot_state();
+  EXPECT_EQ(state.size(), 20484u);
+  EXPECT_EQ(state, ref.encode());
+  LearningSwitch back;
+  back.restore_state(state);
+  EXPECT_EQ(back.learned(), 1280u);
+  EXPECT_EQ(back.snapshot_state(), state);
+}
+
+TEST(LearningSwitch, EmptyTableSnapshotIsTheZeroCount) {
+  LearningSwitch ls;
+  const auto state = ls.snapshot_state();
+  EXPECT_EQ(state, (std::vector<std::uint8_t>{0, 0, 0, 0}));
+  EXPECT_EQ(state, CopyAndSortTable{}.encode());
+  ls.restore_state(state);
+  EXPECT_EQ(ls.learned(), 0u);
+}
+
 // Regression (found by the scenario fuzzer): when the learned location of a
 // packet's destination is the port the packet just arrived on, the copy is a
 // flood echo from a neighbor that had forgotten the destination. Sending it

@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -84,6 +86,177 @@ TEST(Bytes, PatchU16) {
   w.patch_u16(0, 0xCAFE);
   ByteReader r(w.span());
   EXPECT_EQ(r.u16(), 0xCAFE);
+}
+
+/// The writer ByteWriter replaced, one push_back per byte: the executable
+/// specification of the encoding that the field-wide writer must match.
+struct PerByteWriter {
+  std::vector<std::uint8_t> buf;
+
+  void u8(std::uint8_t v) { buf.push_back(v); }
+  void u16(std::uint16_t v) {
+    buf.push_back(static_cast<std::uint8_t>(v >> 8));
+    buf.push_back(static_cast<std::uint8_t>(v));
+  }
+  void u32(std::uint32_t v) {
+    u16(static_cast<std::uint16_t>(v >> 16));
+    u16(static_cast<std::uint16_t>(v));
+  }
+  void u64(std::uint64_t v) {
+    u32(static_cast<std::uint32_t>(v >> 32));
+    u32(static_cast<std::uint32_t>(v));
+  }
+  void mac(const MacAddress& m) {
+    buf.insert(buf.end(), m.octets.begin(), m.octets.end());
+  }
+  void bytes(std::span<const std::uint8_t> d) {
+    buf.insert(buf.end(), d.begin(), d.end());
+  }
+  void zeros(std::size_t n) { buf.insert(buf.end(), n, 0); }
+  void blob(std::span<const std::uint8_t> d) {
+    u32(static_cast<std::uint32_t>(d.size()));
+    bytes(d);
+  }
+  void str(std::string_view s) {
+    u32(static_cast<std::uint32_t>(s.size()));
+    buf.insert(buf.end(), s.begin(), s.end());
+  }
+  void patch_u16(std::size_t offset, std::uint16_t v) {
+    buf[offset] = static_cast<std::uint8_t>(v >> 8);
+    buf[offset + 1] = static_cast<std::uint8_t>(v);
+  }
+};
+
+/// One writer call with its arguments, so a sequence can be replayed into
+/// writers with different size hints.
+struct WriteOp {
+  enum Kind { kU8, kU16, kU32, kU64, kMac, kBytes, kZeros, kBlob, kStr, kPatch, kClaim };
+  Kind kind = kU8;
+  std::uint64_t v = 0;
+  std::size_t offset = 0; ///< kPatch
+  std::vector<std::uint8_t> data;
+
+  template <typename W> void apply(W& w) const {
+    switch (kind) {
+      case kU8:
+        w.u8(static_cast<std::uint8_t>(v));
+        break;
+      case kU16:
+        w.u16(static_cast<std::uint16_t>(v));
+        break;
+      case kU32:
+        w.u32(static_cast<std::uint32_t>(v));
+        break;
+      case kU64:
+        w.u64(v);
+        break;
+      case kMac:
+        w.mac(MacAddress::from_uint64(v & 0xFFFFFFFFFFFFULL));
+        break;
+      case kBytes:
+        w.bytes(data);
+        break;
+      case kZeros:
+        w.zeros(data.size());
+        break;
+      case kBlob:
+        w.blob(data);
+        break;
+      case kStr:
+        w.str({reinterpret_cast<const char*>(data.data()), data.size()});
+        break;
+      case kPatch:
+        w.patch_u16(offset, static_cast<std::uint16_t>(v));
+        break;
+      case kClaim:
+        if constexpr (std::is_same_v<W, ByteWriter>) {
+          std::uint8_t* p = w.claim(data.size());
+          for (std::uint8_t b : data) *p++ = b;
+        } else {
+          w.bytes(data);
+        }
+        break;
+    }
+  }
+};
+
+std::vector<WriteOp> random_ops(Rng& rng) {
+  PerByteWriter ref; // tracks the size, so patches land inside the buffer
+  std::vector<WriteOp> ops;
+  const std::size_t n = 1 + rng.below(120);
+  for (std::size_t i = 0; i < n; ++i) {
+    WriteOp op;
+    op.kind = static_cast<WriteOp::Kind>(rng.below(WriteOp::kClaim + 1));
+    op.v = rng.next();
+    // Mostly short runs, sometimes longer than any slack the writer keeps.
+    const std::size_t len = rng.chance(0.1) ? rng.below(5000) : rng.below(40);
+    if (op.kind >= WriteOp::kBytes && op.kind != WriteOp::kPatch) {
+      op.data.resize(len);
+      for (auto& b : op.data) b = static_cast<std::uint8_t>(rng.below(256));
+    }
+    if (op.kind == WriteOp::kPatch) {
+      if (ref.buf.size() < 2) continue;
+      op.offset = rng.below(ref.buf.size() - 1);
+    }
+    op.apply(ref);
+    ops.push_back(std::move(op));
+  }
+  return ops;
+}
+
+TEST(Bytes, FieldWriterMatchesPerByteReferenceAcrossSeeds) {
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng(seed);
+    const auto ops = random_ops(rng);
+    PerByteWriter ref;
+    for (const auto& op : ops) op.apply(ref);
+    const std::size_t size = ref.buf.size();
+    // No hint, an exact hint and one too short to hold the result.
+    for (std::size_t hint : {std::size_t{0}, size, size / 3}) {
+      ByteWriter w(hint);
+      PerByteWriter step;
+      for (const auto& op : ops) {
+        op.apply(w);
+        op.apply(step);
+        ASSERT_EQ(w.size(), step.buf.size()) << "seed " << seed << " op " << op.kind;
+      }
+      ASSERT_EQ(w.size(), size) << "seed " << seed << " hint " << hint;
+      ASSERT_TRUE(std::equal(w.span().begin(), w.span().end(), ref.buf.begin(),
+                             ref.buf.end()))
+          << "seed " << seed << " hint " << hint;
+      const std::vector<std::uint8_t> taken = std::move(w).take();
+      ASSERT_EQ(taken.size(), size) << "seed " << seed << " hint " << hint;
+      ASSERT_EQ(taken, ref.buf) << "seed " << seed << " hint " << hint;
+    }
+  }
+}
+
+TEST(Bytes, ClaimedRecordsLandExactlyWhereClaimed) {
+  for (std::size_t records : {0u, 1u, 7u, 1280u}) {
+    ByteWriter w(3 + records * 16);
+    PerByteWriter ref;
+    w.u8(0xA5);
+    w.u16(0xBEEF);
+    ref.u8(0xA5);
+    ref.u16(0xBEEF);
+    const std::size_t before = w.size();
+    std::uint8_t* p = w.claim(records * 16);
+    ASSERT_EQ(w.size(), before + records * 16);
+    EXPECT_TRUE(std::all_of(w.span().begin() + static_cast<std::ptrdiff_t>(before),
+                            w.span().end(), [](std::uint8_t b) { return b == 0; }))
+        << "claimed bytes read as zero until written";
+    for (std::uint64_t i = 0; i < records; ++i) {
+      be::store_u64(p, i * 0x0101010101ULL);
+      be::store_u64(p + 8, ~i);
+      p += 16;
+      ref.u64(i * 0x0101010101ULL);
+      ref.u64(~i);
+    }
+    EXPECT_EQ(p, w.span().data() + w.size()) << "the cursor ends at the claim's end";
+    w.u8(0x5A); // the next field follows the run directly
+    ref.u8(0x5A);
+    EXPECT_EQ(std::move(w).take(), ref.buf) << records << " records";
+  }
 }
 
 TEST(Rng, DeterministicForSameSeed) {

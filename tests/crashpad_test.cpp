@@ -164,5 +164,28 @@ TEST(Tickets, FileAndQuery) {
   EXPECT_NE(rendered.find("equivalence"), std::string::npos);
 }
 
+TEST(Tickets, LogKeepsTheNewestWindowAndCountsEveryFiling) {
+  TicketLog log;
+  constexpr std::size_t kExtra = 37;
+  const std::size_t filed = TicketLog::kCapacity + kExtra;
+  for (std::size_t i = 0; i < filed; ++i) {
+    ProblemTicket t;
+    t.app = i % 2 ? "odd" : "even";
+    t.event_seq = i;
+    EXPECT_EQ(log.file(std::move(t)), i + 1); // ids stay monotonic past eviction
+  }
+  EXPECT_EQ(log.count(), filed);
+  ASSERT_EQ(log.all().size(), TicketLog::kCapacity);
+  // The oldest kExtra tickets were evicted; the rest are in filing order.
+  for (std::size_t k = 0; k < TicketLog::kCapacity; ++k) {
+    EXPECT_EQ(log.all()[k].id, kExtra + k + 1);
+    EXPECT_EQ(log.all()[k].event_seq, kExtra + k);
+  }
+  const auto odd = log.for_app("odd");
+  ASSERT_EQ(odd.size(), TicketLog::kCapacity / 2);
+  EXPECT_EQ(odd.front().event_seq, kExtra); // the oldest odd one kept
+  EXPECT_EQ(odd.back().event_seq, filed - 2); // the newest odd one
+}
+
 } // namespace
 } // namespace legosdn::crashpad

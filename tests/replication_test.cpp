@@ -403,20 +403,23 @@ TEST(TicketLog, ForAppPointersSurviveLaterFilings) {
   }
   const auto held = log.for_app("victim");
   ASSERT_EQ(held.size(), 3u);
-  const std::string first_info = held[0]->crash_info;
+  const std::string first_info = held[0].crash_info;
 
-  // A vector-backed log reallocated here and left `held` dangling; the deque
-  // must keep every previously returned pointer stable.
-  for (int i = 0; i < 512; ++i) {
+  // A vector-backed log reallocated here and left pointers into it dangling;
+  // the bounded log now also evicts the held tickets themselves, so
+  // for_app() hands out copies that outlive both.
+  const std::size_t fillers = crashpad::TicketLog::kCapacity + 512;
+  for (std::size_t i = 0; i < fillers; ++i) {
     crashpad::ProblemTicket t;
     t.app = "other";
     t.crash_info = "filler " + std::to_string(i);
     log.file(std::move(t));
   }
-  EXPECT_EQ(held[0]->app, "victim");
-  EXPECT_EQ(held[0]->crash_info, first_info);
-  EXPECT_EQ(held[2]->crash_info, "crash 2");
-  EXPECT_EQ(log.count(), 515u);
+  EXPECT_EQ(held[0].app, "victim");
+  EXPECT_EQ(held[0].crash_info, first_info);
+  EXPECT_EQ(held[2].crash_info, "crash 2");
+  EXPECT_EQ(log.count(), fillers + 3);
+  EXPECT_TRUE(log.for_app("victim").empty()); // evicted from the log
 }
 
 TEST(Ticket, EventSeqIsPerAppLogPosition) {

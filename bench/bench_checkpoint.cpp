@@ -12,21 +12,17 @@
 // Part 2 sweeps the checkpoint period k and reports (a) amortized overhead
 // per event and (b) crash-recovery cost (restore + replay of up to k-1
 // events) — the trade-off the §5 extension navigates.
-// Part 3 (C8) is the pipeline sweep: sync (the store's put runs inline on
-// the event path) vs async (capture + handoff only; the put, which diffs the
-// previous newest snapshot into a backward delta, runs on the background
-// worker) across state sizes, over the one SnapshotStore. Each row checks
-// that the store's newest and oldest retained snapshots equal the bench's
-// own captures byte for byte (restore_ok); scripts/check_bench.py fails the
-// bench-smoke job on a mismatch. The JSON line at the end carries the p50
-// event-path latencies.
-#include <thread>
-
+// Part 3 (C8) prices the checkpoint the controller pays on the event path,
+// across state sizes: the capture plus the SnapshotStore put (a memcmp diff
+// of the previous newest snapshot into a backward delta), both inline, as
+// LegoController runs them. Each row checks that the store's newest and
+// oldest retained snapshots equal the bench's own captures byte for byte
+// (restore_ok); scripts/check_bench.py fails the bench-smoke job on a
+// mismatch. The JSON line at the end carries the on-path percentiles.
 #include "appvisor/inprocess_domain.hpp"
 #include "appvisor/process_domain.hpp"
 #include "apps/fault_injection.hpp"
 #include "bench_util.hpp"
-#include "checkpoint/checkpoint_worker.hpp"
 #include "checkpoint/snapshot_store.hpp"
 #include "controller/controller.hpp"
 #include "netsim/network.hpp"
@@ -50,9 +46,7 @@ constexpr std::size_t kKeep = 16;
 
 struct PipelineRow {
   std::size_t state_bytes = 0;
-  Histogram sync_us;  ///< event-path cost, capture + inline put
-  Histogram async_us; ///< event-path cost, capture + handoff
-  double encode_lag_p50_us = 0;
+  Histogram on_path_us; ///< event-path cost: capture + put
   std::uint64_t fulls = 0;
   std::uint64_t deltas = 0;
   std::uint64_t raw_bytes = 0;
@@ -61,25 +55,13 @@ struct PipelineRow {
 };
 
 /// Run `events` packet-ins through a StatefulApp, checkpointing before every
-/// event through the given pipeline mode, and measure the event-path
-/// checkpoint cost (capture + submit). Returns p50/… samples plus worker
-/// stats and a byte-for-byte check of the newest and oldest stored snapshot.
-///
-/// Events are spaced by a state-size-proportional think time (the rest of
-/// the control loop: app handlers, NetLog, invariant checks). Checkpoints
-/// arriving back-to-back with zero gap would only measure allocator
-/// contention against the worker's backlog — the encode-lag column is where
-/// a worker that cannot keep up shows honestly.
-PipelineRow run_pipeline(std::size_t state_bytes, bool async, int events,
-                         int warmup) {
+/// event (capture, then put into the store), and time that on-path cost.
+/// Returns the samples, the puts' counts and bytes, and a byte-for-byte
+/// check of the newest and oldest stored snapshot.
+PipelineRow run_pipeline(std::size_t state_bytes, int events, int warmup) {
   PipelineRow row;
   row.state_bytes = state_bytes;
-
   checkpoint::SnapshotStore store(kKeep);
-  checkpoint::CheckpointWorker::Config wcfg;
-  wcfg.async = async;
-  wcfg.max_queue = 1024; // queue must absorb the bench burst, not backpressure
-  checkpoint::CheckpointWorker worker(store, wcfg);
 
   // ~6% of pages dirtied per event: a working set small relative to state,
   // which is what the backward diffs exploit (touch_pages=0 would dirty
@@ -91,8 +73,13 @@ PipelineRow run_pipeline(std::size_t state_bytes, bool async, int events,
   appvisor::InProcessDomain d(app);
   d.start();
 
-  const auto think = std::chrono::microseconds(state_bytes / 1024);
-  Histogram& on_path = async ? row.async_us : row.sync_us;
+  auto put = [&](std::uint64_t seq, std::vector<std::uint8_t> state) {
+    row.raw_bytes += state.size();
+    const auto p = store.put(AppId{1}, seq, kSimStart, std::move(state));
+    (p.first ? row.fulls : row.deltas) += 1;
+    row.stored_bytes += p.stored_bytes;
+  };
+
   // With the final capture below, the store keeps seqs first_kept..events.
   const int first_kept = events + 1 - static_cast<int>(kKeep);
   std::vector<std::uint8_t> oldest_expect;
@@ -102,31 +89,19 @@ PipelineRow run_pipeline(std::size_t state_bytes, bool async, int events,
     auto snap = d.snapshot();
     if (snap.ok()) {
       if (i == first_kept) oldest_expect = snap.value();
-      worker.submit(AppId{1}, static_cast<std::uint64_t>(i), kSimStart,
-                    std::move(snap).value());
+      put(static_cast<std::uint64_t>(i), std::move(snap).value());
     }
     // The copy above is the bench's, not the pipeline's: leave it untimed.
-    if (i >= warmup && i != first_kept) on_path.add(sw.elapsed_us());
+    if (i >= warmup && i != first_kept) row.on_path_us.add(sw.elapsed_us());
     d.deliver(make_packet_in(static_cast<std::uint64_t>(i)), kSimStart);
-    std::this_thread::sleep_for(think);
   }
-  worker.flush();
 
-  const auto ws = worker.stats();
-  row.encode_lag_p50_us = ws.encode_lag_us.percentile(50);
-  row.fulls = ws.full_snapshots;
-  row.deltas = ws.delta_snapshots;
-  row.raw_bytes = ws.raw_bytes;
-  row.stored_bytes = ws.stored_bytes;
-
-  // Correctness: submit one final capture; the newest stored snapshot must
-  // be it, and the oldest (the newest with every backward diff applied) the
+  // Correctness: put one final capture; the newest stored snapshot must be
+  // it, and the oldest (the newest with every backward diff applied) the
   // capture first_kept events ago, byte for byte.
   auto expect = d.snapshot();
   if (expect.ok()) {
-    worker.submit(AppId{1}, static_cast<std::uint64_t>(events), kSimStart,
-                  std::vector<std::uint8_t>(expect.value()));
-    worker.flush();
+    put(static_cast<std::uint64_t>(events), expect.value());
     const auto latest = store.latest(AppId{1});
     const auto oldest = store.oldest(AppId{1});
     row.restore_ok = latest && latest->state == expect.value() && oldest &&
@@ -261,67 +236,51 @@ int main() {
     bench::note("exactly the trade-off §5 proposes to navigate.");
   }
 
-  bench::section("C8: sync vs async checkpoint pipeline (§5)");
+  bench::section("C8: checkpoint on the event path, capture + store put (§5)");
   std::vector<PipelineRow> rows;
   {
-    std::vector<std::size_t> sizes = {std::size_t{1} << 16, std::size_t{1} << 18,
-                                      std::size_t{1} << 20, std::size_t{4} << 20};
+    std::vector<std::size_t> sizes = {std::size_t{1} << 14, std::size_t{1} << 16,
+                                      std::size_t{1} << 18, std::size_t{1} << 20,
+                                      std::size_t{4} << 20};
     if (bench::smoke()) sizes = {std::size_t{1} << 14, std::size_t{1} << 17};
     const int events = bench::iters(160, 24);
     const int warmup = bench::iters(20, 4);
 
-    bench::Table table({"state size", "sync on-path (us, p50)",
-                        "async on-path (us, p50)", "speedup",
-                        "encode lag (us, p50)", "diffs/first", "bytes saved",
-                        "restore"});
+    bench::Table table({"state size", "on-path (us, p50)", "on-path (us, p95)",
+                        "diffs/first", "bytes saved", "restore"});
     for (const std::size_t size : sizes) {
-      PipelineRow sync = run_pipeline(size, /*async=*/false, events, warmup);
-      PipelineRow async = run_pipeline(size, /*async=*/true, events, warmup);
-      PipelineRow merged = async;
-      merged.sync_us = sync.sync_us;
-      if (!sync.restore_ok) merged.restore_ok = false;
-
-      const double sync_p50 = merged.sync_us.percentile(50);
-      const double async_p50 = merged.async_us.percentile(50);
+      PipelineRow row = run_pipeline(size, events, warmup);
       const double saved_pct =
-          merged.raw_bytes
-              ? 100.0 * (1.0 - double(merged.stored_bytes) / double(merged.raw_bytes))
+          row.raw_bytes
+              ? 100.0 * (1.0 - double(row.stored_bytes) / double(row.raw_bytes))
               : 0.0;
       const std::string label =
           size >= (1 << 20) ? bench::fmt(double(size) / (1 << 20), 0) + " MiB"
                             : bench::fmt(double(size) / 1024, 0) + " KiB";
-      table.row({label, bench::fmt(sync_p50), bench::fmt(async_p50),
-                 bench::fmt(async_p50 > 0 ? sync_p50 / async_p50 : 0, 1) + "x",
-                 bench::fmt(merged.encode_lag_p50_us),
-                 std::to_string(merged.deltas) + "/" + std::to_string(merged.fulls),
-                 bench::fmt(saved_pct, 1) + "%",
-                 merged.restore_ok ? "ok" : "MISMATCH"});
-      rows.push_back(std::move(merged));
+      table.row({label, bench::fmt(row.on_path_us.percentile(50)),
+                 bench::fmt(row.on_path_us.percentile(95)),
+                 std::to_string(row.deltas) + "/" + std::to_string(row.fulls),
+                 bench::fmt(saved_pct, 1) + "%", row.restore_ok ? "ok" : "MISMATCH"});
+      rows.push_back(std::move(row));
     }
     table.print();
     std::printf("\n");
-    bench::note("Shape: sync pays capture + the store's put (a memcmp diff of the");
-    bench::note("previous newest snapshot) on the event path; async pays capture +");
-    bench::note("handoff only. Both use the one store: the newest snapshot whole, older");
-    bench::note("ones as backward diffs, so a sparse-write app's retained bytes stay");
-    bench::note("small. restore compares the newest and oldest stored snapshots with");
-    bench::note("the bench's own captures.");
+    bench::note("Shape: the event path pays the capture (a copy of the state) plus");
+    bench::note("the store's put (a memcmp diff of the previous newest snapshot), so");
+    bench::note("both grow with state size. The store keeps the newest snapshot whole");
+    bench::note("and older ones as backward diffs, so a sparse-write app's retained");
+    bench::note("bytes stay small. restore compares the newest and oldest stored");
+    bench::note("snapshots with the bench's own captures.");
   }
 
   // Machine-readable result line (one JSON object) for harnesses.
   bench::Json j;
   j.begin_obj().kv("bench", std::string("checkpoint")).begin_arr("pipeline");
   for (const auto& r : rows) {
-    const double sync_p50 = r.sync_us.percentile(50);
-    const double async_p50 = r.async_us.percentile(50);
     j.begin_obj()
         .kv("state_bytes", static_cast<std::uint64_t>(r.state_bytes))
-        .kv("sync_p50_us", sync_p50)
-        .kv("sync_p95_us", r.sync_us.percentile(95))
-        .kv("async_p50_us", async_p50)
-        .kv("async_p95_us", r.async_us.percentile(95))
-        .kv("speedup_p50", async_p50 > 0 ? sync_p50 / async_p50 : 0.0)
-        .kv("encode_lag_p50_us", r.encode_lag_p50_us)
+        .kv("on_path_p50_us", r.on_path_us.percentile(50))
+        .kv("on_path_p95_us", r.on_path_us.percentile(95))
         .kv("delta_snapshots", r.deltas)
         .kv("full_snapshots", r.fulls)
         .kv("raw_bytes", r.raw_bytes)

@@ -73,8 +73,8 @@ cmd_tsan() {
   cmake --build --preset tsan -j "$(nproc)"
   # GTest registers Suite.Test names with ctest, so running the binaries
   # directly is both faster and gives one TSan report per suite. These are
-  # the suites that exercise the shard lanes, stripe locks and the
-  # checkpoint worker — the code TSan exists to police.
+  # the suites that exercise the shard lanes, stripe locks and the snapshot
+  # store's concurrent puts from lanes — the code TSan exists to police.
   local t
   for t in controller_test sharded_dispatch_test legosdn_test \
            checkpoint_test checkpoint_pipeline_test netlog_test \

@@ -294,10 +294,9 @@ Result<RpcFrame> ProcessDomain::call(RpcType req, std::span<const std::uint8_t> 
     }
     if (f.type == RpcType::kCrashNotice) {
       last_crash_info_.assign(f.payload.begin(), f.payload.end());
-      // Let the child finish dying, then reap it.
-      for (int i = 0; i < 100 && !child_exited(); ++i) ::usleep(1000);
-      if (!child_exited()) kill_child();
-      alive_ = false;
+      // The stub sent its last words and is in _exit: SIGKILL cuts its
+      // teardown short, and the blocking waitpid reaps it without polling.
+      kill_child();
       tstats_.channel = chan_->stats();
       return Error{Error::Code::kCrashed, last_crash_info_};
     }
@@ -337,9 +336,7 @@ bool ProcessDomain::poll_liveness() {
     }
     if (fr.value().type == RpcType::kCrashNotice) {
       last_crash_info_.assign(fr.value().payload.begin(), fr.value().payload.end());
-      for (int i = 0; i < 100 && !child_exited(); ++i) ::usleep(1000);
-      if (!child_exited()) kill_child();
-      alive_ = false;
+      kill_child(); // as in call(): the stub is already exiting
       return false;
     }
     // Stale reply from an abandoned request: ignore.

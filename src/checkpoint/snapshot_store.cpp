@@ -34,6 +34,7 @@ SnapshotStore::Put SnapshotStore::put(AppId app, std::uint64_t event_seq,
     drop(h.older.front());
     h.older.pop_front();
   }
+  out.oldest_seq = h.older.empty() ? event_seq : h.older.front().event_seq;
   return out;
 }
 

@@ -15,8 +15,9 @@
 //   - eviction pops the oldest diff, on which nothing depends;
 //   - put() diffs the previous newest against the new state, exactly.
 //
-// All public methods are thread-safe: the CheckpointWorker writes from its
-// background thread while the controller's recovery path reads.
+// All public methods are thread-safe: shard lanes put into their own clones'
+// histories concurrently, on the thread that dispatches the event, while
+// recovery reads.
 #pragma once
 
 #include <cstdint>
@@ -50,6 +51,8 @@ public:
     /// The whole state for a first put, else the bytes of the backward diff
     /// the previous newest snapshot became.
     std::size_t stored_bytes = 0;
+    /// event_seq of the app's oldest retained snapshot after the put.
+    std::uint64_t oldest_seq = 0;
   };
 
   /// Make `state` the app's newest snapshot (seqs must not decrease). The

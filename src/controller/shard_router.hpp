@@ -1,9 +1,8 @@
 // Shard routing for the parallel event pipeline.
 //
 // The event stream is partitioned by switch: every event that concerns a
-// single datapath hashes to one of N shards (the same hash-pinning idiom the
-// CheckpointWorker uses for apps), so per-switch event order is preserved by
-// construction — each dpid lives on exactly one FIFO lane. Events that span
+// single datapath hashes to one of N shards, so per-switch event order is
+// preserved by construction — each dpid lives on exactly one FIFO lane. Events that span
 // switches (a LinkDown whose endpoints hash to different shards) or concern
 // no switch at all cannot be pinned to a lane without giving up cross-switch
 // ordering; they are classified kGlobal and executed under the dispatcher's

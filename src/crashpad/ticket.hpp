@@ -32,9 +32,9 @@ struct ProblemTicket {
   SimTime at{};
 
   /// Composed-restore provenance: the checkpoint the rollback rewinds to
-  /// (newest *stored* snapshot — an encode still in flight on the worker is
-  /// skipped in favour of the previous complete one) and how many logged
-  /// events the replay must re-deliver to catch up to the offender.
+  /// (the app's newest snapshot) and how many logged events the replay must
+  /// re-deliver to catch up to the offender (0 under per-event
+  /// checkpointing).
   bool restore_available = false;
   std::uint64_t restore_seq = 0;
   std::uint64_t replay_span = 0;

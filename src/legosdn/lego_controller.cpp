@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <set>
 
 #include "common/log.hpp"
@@ -29,9 +30,6 @@ LegoController::LegoController(netsim::Network& net, LegoConfig cfg)
       cfg_(std::move(cfg)),
       netlog_(net, cfg_.netlog),
       snapshots_(cfg_.snapshot_keep),
-      ckpt_worker_(snapshots_,
-                   {cfg_.checkpoint.async, cfg_.checkpoint.max_queue,
-                    cfg_.checkpoint.encode_delay}),
       transformer_(net),
       checker_(net),
       role_(cfg_.role) {
@@ -110,29 +108,40 @@ void LegoController::maybe_checkpoint(appvisor::AppEntry& entry, const ctl::Even
   const bool due = every <= 1 || pa.seen - pa.last_checkpoint >= every ||
                    pa.last_checkpoint == 0;
   if (due) {
-    // The hot path pays only for the capture + queue handoff; diffing and
-    // store insertion run on the worker (§5).
+    // Stored on this thread before the event is delivered, so a crash on
+    // this event restores exactly this capture (DESIGN.md §4.2).
     auto snap = entry.domain->snapshot();
     if (snap) {
-      {
-        std::lock_guard<std::mutex> lk(lego_mu_);
-        lego_stats_.checkpoints += 1;
-        lego_stats_.checkpoint_bytes += snap.value().size();
-      }
-      ckpt_worker_.submit(entry.id, pa.seen, net_.now(), std::move(snap).value());
+      store_checkpoint(entry.id, pa.seen, std::move(snap).value());
       pa.last_checkpoint = pa.seen;
     }
   }
-  // The event log holds everything since the oldest *stored* checkpoint:
-  // restore replays from the newest, and localize_fault probes from the
-  // oldest. Truncation follows the store, not the capture: an async
-  // snapshot still in flight must keep its replay suffix alive in case a
-  // crash forces a fallback to an older complete snapshot.
-  if (auto oldest = snapshots_.oldest_seq(entry.id))
-    event_log_.truncate(entry.id, *oldest);
   // The offender itself is appended before delivery so the log matches what
   // the app actually saw.
   event_log_.append(entry.id, pa.seen, e);
+}
+
+void LegoController::store_checkpoint(AppId app, std::uint64_t seq,
+                                      std::vector<std::uint8_t> state) {
+  const std::size_t raw = state.size();
+  const auto t0 = std::chrono::steady_clock::now();
+  const checkpoint::SnapshotStore::Put put =
+      snapshots_.put(app, seq, net_.now(), std::move(state));
+  const double put_us = std::chrono::duration<double, std::micro>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+  {
+    std::lock_guard<std::mutex> lk(lego_mu_);
+    lego_stats_.checkpoints += 1;
+    lego_stats_.checkpoint_bytes += raw;
+    (put.first ? lego_stats_.full_snapshots : lego_stats_.delta_snapshots) += 1;
+    lego_stats_.checkpoint_stored_bytes += put.stored_bytes;
+    lego_stats_.encode_lag_us.add(put_us);
+  }
+  // The event log holds everything since the oldest stored snapshot:
+  // restore replays from the newest, and localize_fault probes from the
+  // oldest. Only a put moves the oldest, so only a put truncates.
+  event_log_.truncate(app, put.oldest_seq);
 }
 
 bool LegoController::apply_transaction(appvisor::AppEntry& entry,
@@ -415,10 +424,9 @@ void LegoController::dispatch_core(ctl::Event e, std::size_t shard) {
 }
 
 bool LegoController::restore_app(appvisor::AppEntry& entry) {
-  // Restore the newest stored snapshot (kept whole). If the newest
-  // capture is still in flight on the worker, this returns the previous
-  // *complete* snapshot — the replay below covers the gap from the event
-  // log, which is only truncated up to stored (not captured) snapshots.
+  // Restore the newest snapshot (kept whole). Under the default per-event
+  // cadence it was taken just before the offender, so the replay below is
+  // empty; it covers the gap when checkpoint_every > 1 or a capture failed.
   const std::optional<checkpoint::Snapshot> snap = snapshots_.latest(entry.id);
   Status st = snap ? entry.domain->restore(snap->state) : entry.domain->restart();
   if (!st) {
@@ -436,9 +444,8 @@ bool LegoController::restore_app(appvisor::AppEntry& entry) {
   // Periodic checkpointing (§5): replay events logged since the snapshot so
   // the app state catches up to just before the offender. Replay outputs are
   // discarded — the network already executed them when they first happened.
-  // With no stored snapshot at all (every capture still in flight on the
-  // worker), the restart above reset the app; replaying the full log — never
-  // truncated past a snapshot that has not landed — rebuilds its state.
+  // With no snapshot at all (every capture failed), the restart above reset
+  // the app; replaying the log, which no put has truncated, rebuilds it.
   const PerApp& pa = per_app_[entry.id];
   // A snapshot is taken *before* the event numbered snap->event_seq is
   // delivered, so replay covers [snap->event_seq, offender) where the
@@ -450,8 +457,7 @@ bool LegoController::restore_app(appvisor::AppEntry& entry) {
   // still in the log, or a multi-event bug). Mark it, rewind to the
   // snapshot, and recompose without it: the result is always
   //   snapshot + every non-crashing logged event, in order,
-  // independent of *which* snapshot the fallback landed on — so recovery
-  // stays deterministic even when worker timing moves the restore point.
+  // independent of *which* snapshot the restore landed on.
   std::vector<bool> skip(logged.size(), false);
   for (std::size_t attempt = 0; attempt <= logged.size(); ++attempt) {
     bool crashed = false;
@@ -481,9 +487,6 @@ LegoController::LocalizeResult LegoController::localize_fault(
   LocalizeResult out;
   appvisor::AppEntry* entry = visor_.entry(app);
   if (!entry) return out;
-  // Probing rewinds to the *oldest* retained checkpoint; make sure every
-  // captured snapshot has landed so the probe base is as old as possible.
-  ckpt_worker_.flush();
   const PerApp& pa = per_app_[app];
   const auto logged = event_log_.range(app, 0, pa.seen + 1);
   std::optional<checkpoint::Snapshot> base = snapshots_.oldest(app);
@@ -537,7 +540,8 @@ void LegoController::recover(appvisor::AppEntry& entry, const ctl::Event& offend
   // Replication: ship the recovery *outcome* — the app's post-recovery
   // snapshot (or the fact it was left down) — so followers mirror what
   // actually happened instead of re-running a recovery whose ingredients
-  // (worker timing) need not be deterministic.
+  // (the leader's own checkpoint history, a failed capture) they need not
+  // share.
   ship_app_state(entry);
 }
 
@@ -572,9 +576,8 @@ void LegoController::recover_impl(appvisor::AppEntry& entry,
   ticket.crash_info = (byzantine ? "[byzantine] " : "[fail-stop] ") + crash_info;
   ticket.policy_applied = crashpad::to_string(policy);
   ticket.at = net_.now();
-  // Which checkpoint the restore will rewind to (the newest
-  // *stored* snapshot — a capture still in flight on the worker does not
-  // count), and how many logged events the replay must cover.
+  // Which checkpoint the restore will rewind to (the newest snapshot), and
+  // how many logged events the replay must cover.
   if (auto stored = snapshots_.latest_seq(entry.id)) {
     ticket.restore_available = true;
     ticket.restore_seq = *stored;
@@ -724,8 +727,7 @@ void LegoController::follower_ingest(const ReplicaRecord& r) {
       // replay suffix that would re-run events the leader's recovery chose
       // to skip or transform.
       PerApp& pa = per_app_[entry.id];
-      ckpt_worker_.submit(entry.id, pa.seen, net_.now(),
-                          std::vector<std::uint8_t>(r.state));
+      store_checkpoint(entry.id, pa.seen, r.state);
       pa.last_checkpoint = pa.seen;
       return;
     }
@@ -849,14 +851,9 @@ LegoController::LegoStats LegoController::lego_stats() const {
     std::lock_guard<std::mutex> lk(lego_mu_);
     s = lego_stats_;
   }
-  const auto ws = ckpt_worker_.stats();
-  s.full_snapshots = ws.full_snapshots;
-  s.delta_snapshots = ws.delta_snapshots;
-  s.checkpoint_stored_bytes = ws.stored_bytes;
-  s.checkpoint_bytes_saved =
-      ws.raw_bytes > ws.stored_bytes ? ws.raw_bytes - ws.stored_bytes : 0;
-  s.inline_encodes = ws.inline_encodes;
-  s.encode_lag_us = ws.encode_lag_us;
+  s.checkpoint_bytes_saved = s.checkpoint_bytes > s.checkpoint_stored_bytes
+                                 ? s.checkpoint_bytes - s.checkpoint_stored_bytes
+                                 : 0;
   return s;
 }
 

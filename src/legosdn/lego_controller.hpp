@@ -26,7 +26,6 @@
 #include <shared_mutex>
 
 #include "appvisor/appvisor.hpp"
-#include "checkpoint/checkpoint_worker.hpp"
 #include "checkpoint/event_log.hpp"
 #include "checkpoint/snapshot_store.hpp"
 #include "common/stats.hpp"
@@ -80,23 +79,12 @@ struct LegoConfig {
 
   /// Snapshot cadence: 1 = before every event (the paper's prototype);
   /// k > 1 = every k events, with the logged events since the snapshot
-  /// replayed on restore (§5).
+  /// replayed on restore (§5). Each capture is stored (snapshot_store.hpp)
+  /// on the thread that dispatches the event, before the event is delivered.
   std::uint64_t checkpoint_every = 1;
+  /// Snapshots retained per app: the newest whole, older ones as backward
+  /// diffs (the oldest is localize_fault's probe base).
   std::size_t snapshot_keep = 8;
-
-  /// §5 "Minimizing checkpointing overheads": the off-hot-path checkpoint
-  /// pipeline (checkpoint_worker.hpp, snapshot_store.hpp).
-  struct CheckpointConfig {
-    /// Store snapshots on the background worker; the event path pays only
-    /// the state capture plus a queue handoff. false = store inline.
-    bool async = true;
-    /// Worker queue bound; beyond it submits store inline (backpressure).
-    std::size_t max_queue = 64;
-    /// Test-only artificial encode delay (keeps a snapshot observably
-    /// in flight so crash-during-encode paths can be exercised).
-    std::chrono::microseconds encode_delay{0};
-  };
-  CheckpointConfig checkpoint{};
 
   /// Byzantine failure detection via the policy checker.
   bool byzantine_detection = true;
@@ -205,12 +193,7 @@ public:
   crashpad::TicketLog& tickets() noexcept { return tickets_; }
   appvisor::AppVisor& appvisor() noexcept { return visor_; }
   checkpoint::SnapshotStore& snapshots() noexcept { return snapshots_; }
-  checkpoint::CheckpointWorker& checkpoint_worker() noexcept { return ckpt_worker_; }
   const LegoConfig& config() const noexcept { return cfg_; }
-
-  /// Block until every captured snapshot has been encoded and stored.
-  /// Tests and orderly shutdown use this; the event path never does.
-  void flush_checkpoints() { ckpt_worker_.flush(); }
 
   struct LegoStats {
     std::uint64_t failstop_crashes = 0;
@@ -234,17 +217,23 @@ public:
                                           ///< loss beyond the retry budget) —
                                           ///< distinct from fail-stop crashes
 
-    // Checkpoint pipeline (merged from the worker at lego_stats() time).
+    // Snapshot store puts (one per checkpoint).
     std::uint64_t full_snapshots = 0;     ///< puts into an empty history
     std::uint64_t delta_snapshots = 0;    ///< puts that made a backward diff
     std::uint64_t checkpoint_stored_bytes = 0; ///< bytes the puts added: first
                                                ///< states whole, then diffs
     std::uint64_t checkpoint_bytes_saved = 0;  ///< raw captures minus stored
-    std::uint64_t inline_encodes = 0;     ///< backpressure fell back inline
-    Histogram encode_lag_us;              ///< capture-to-stored latency
+    /// Duration of each store put, which is all the time from capture to
+    /// stored. Kept under this name for the benchmark's reader (perfbench
+    /// reports it as checkpoint.encode_lag_us_p50) until the benchmark
+    /// next changes.
+    Histogram encode_lag_us;
+    /// Always 0: captures are stored inline, so nothing queues or
+    /// overflows. Kept for the benchmark's reader until it next changes.
+    std::uint64_t inline_encodes = 0;
   };
-  /// Controller counters plus the checkpoint worker's, merged. Returns a
-  /// value (not a reference): the worker half mutates on another thread.
+  /// A copy of the counters, taken under their lock (lanes update them
+  /// concurrently).
   LegoStats lego_stats() const;
 
   /// Aggregated proxy<->stub transport counters (retransmits, duplicate
@@ -274,6 +263,10 @@ private:
   void dispatch_core(ctl::Event e, std::size_t shard);
 
   void maybe_checkpoint(appvisor::AppEntry& entry, const ctl::Event& e);
+  /// Put one capture into the store as the app's snapshot before event
+  /// `seq`, count it, and drop logged events older than the oldest retained
+  /// snapshot.
+  void store_checkpoint(AppId app, std::uint64_t seq, std::vector<std::uint8_t> state);
   bool apply_transaction(appvisor::AppEntry& entry,
                          std::vector<of::Message> emitted, std::string* violation);
   /// Commit every open coalesced transaction on `shard` (the dispatcher's
@@ -300,7 +293,6 @@ private:
   appvisor::AppVisor visor_;
   netlog::NetLog netlog_;
   checkpoint::SnapshotStore snapshots_;
-  checkpoint::CheckpointWorker ckpt_worker_;
   checkpoint::EventLog event_log_;
   crashpad::EventTransformer transformer_;
   crashpad::TicketLog tickets_;

@@ -1,7 +1,7 @@
-// End-to-end tests of the incremental, off-hot-path checkpoint pipeline:
-// crash while an encode is still in flight (restore must fall back to the
-// last *complete* snapshot and replay the gap from the event log), sync vs
-// async restore determinism, and the pipeline's stats.
+// End-to-end tests of the checkpoint pipeline: each capture is stored inline
+// before its event is delivered, so a crash restores the pre-event snapshot
+// with nothing to replay; a rolled-back poison packet leaves the app's state
+// byte-identical to a run without it; and the pipeline's stats.
 #include <gtest/gtest.h>
 
 #include "apps/fault_injection.hpp"
@@ -29,61 +29,56 @@ apps::CrashTrigger poison_packet_trigger(std::uint16_t tp_dst = 666) {
   return t;
 }
 
-// A crash that lands while the newest captures are still queued behind the
-// (artificially slowed) encoder must not strand the app: restore falls back
-// to the last snapshot that actually reached the store and replays the gap
-// from the event log.
-TEST(CheckpointPipeline, CrashDuringInFlightEncodeFallsBackAndReplays) {
+// At the paper's per-event cadence the pre-event capture is in the store by
+// the time dispatch returns (no flush, nothing in flight), so a crash rewinds
+// to the snapshot taken just before the offender: nothing is replayed and no
+// learned state is lost.
+TEST(CheckpointPipeline, CrashRestoresPreEventSnapshotWithoutReplay) {
   auto net = netsim::Network::linear(2, 1);
-  LegoConfig cfg;
-  cfg.checkpoint.encode_delay = std::chrono::milliseconds(50);
-  LegoController c(*net, cfg);
+  LegoController c(*net);
   auto inner = std::make_shared<apps::LearningSwitch>();
   c.add_app(std::make_shared<apps::CrashyApp>(inner, poison_packet_trigger()));
   ASSERT_TRUE(c.start_system());
   c.run();
+  const AppId app = c.appvisor().entries()[0].id;
 
-  // Settle: everything captured so far lands in the store.
   EXPECT_TRUE(send_and_pump(*net, c, 0, 1));
   EXPECT_TRUE(send_and_pump(*net, c, 1, 0));
-  c.flush_checkpoints();
   const auto learned = inner->learned();
   EXPECT_GT(learned, 0u);
-  const auto stored_before = c.snapshots().latest_seq(AppId{1});
+  // Every capture is already stored: one put per checkpoint.
+  const auto before = c.lego_stats();
+  EXPECT_GT(before.checkpoints, 0u);
+  EXPECT_EQ(before.full_snapshots + before.delta_snapshots, before.checkpoints);
+  const auto stored_before = c.snapshots().latest_seq(app);
   ASSERT_TRUE(stored_before.has_value());
 
-  // More traffic whose captures are still in flight (50 ms each) when the
-  // poison packet crashes the app moments later.
-  EXPECT_TRUE(send_and_pump(*net, c, 0, 1));
-  EXPECT_TRUE(send_and_pump(*net, c, 1, 0));
   send_and_pump(*net, c, 0, 1, 666);
 
   EXPECT_FALSE(c.crashed());
   const auto stats = c.lego_stats();
   EXPECT_EQ(stats.failstop_crashes, 1u);
   EXPECT_EQ(stats.recoveries, 1u);
-  // The fallback restore replayed the logged events the in-flight snapshots
-  // would have covered.
-  EXPECT_GE(stats.replayed_events, 2u);
-  // Replay reconstructed the lost tail: no learned state went missing.
+  EXPECT_EQ(stats.replayed_events, 0u);
   EXPECT_EQ(inner->learned(), learned);
   EXPECT_TRUE(send_and_pump(*net, c, 0, 1));
 
-  // The ticket records the rollback shape for triage.
+  // The ticket names the snapshot taken before the offender itself.
   ASSERT_EQ(c.tickets().count(), 1u);
   const auto& ticket = c.tickets().all()[0];
   EXPECT_TRUE(ticket.restore_available);
-  EXPECT_GE(ticket.restore_seq, *stored_before);
-  EXPECT_GE(ticket.replay_span, 2u);
+  EXPECT_GT(ticket.restore_seq, *stored_before);
+  EXPECT_EQ(ticket.restore_seq, ticket.event_seq);
+  EXPECT_EQ(ticket.replay_span, 0u);
 }
 
-// Determinism: the same traffic (including a crash and recovery) must leave
-// byte-identical app state whether checkpoints are stored inline or on the
-// worker — the pipeline changes scheduling, never recovered state.
-TEST(CheckpointPipeline, SyncFullAndAsyncDeltaRestoreByteIdentical) {
-  auto run_scenario = [](const LegoConfig& cfg) {
+// Under Absolute Compromise a crashing event is rolled back out of the app's
+// state: the same traffic with and without the poison packet leaves
+// byte-identical app state.
+TEST(CheckpointPipeline, PoisonPacketLeavesNoTraceInAppState) {
+  auto run_scenario = [](bool poison) {
     auto net = netsim::Network::linear(3, 1);
-    LegoController c(*net, cfg);
+    LegoController c(*net);
     auto inner = std::make_shared<apps::LearningSwitch>();
     c.add_app(std::make_shared<apps::CrashyApp>(inner, poison_packet_trigger()));
     EXPECT_TRUE(c.start_system());
@@ -94,31 +89,25 @@ TEST(CheckpointPipeline, SyncFullAndAsyncDeltaRestoreByteIdentical) {
                                    {0, 2}}) {
       EXPECT_TRUE(send_and_pump(*net, c, src, dst));
     }
-    send_and_pump(*net, c, 1, 0, 666); // crash + recover
+    if (poison) send_and_pump(*net, c, 1, 0, 666); // crash + recover
     EXPECT_TRUE(send_and_pump(*net, c, 2, 1));
-    c.flush_checkpoints();
     auto snap = c.appvisor().entries()[0].domain->snapshot();
     EXPECT_TRUE(snap.ok());
-    EXPECT_EQ(c.lego_stats().failstop_crashes, 1u);
+    EXPECT_EQ(c.lego_stats().failstop_crashes, poison ? 1u : 0u);
+    EXPECT_EQ(c.lego_stats().replayed_events, 0u);
     return std::pair{snap.ok() ? snap.value() : std::vector<std::uint8_t>{},
                      inner->learned()};
   };
 
-  LegoConfig sync;
-  sync.checkpoint.async = false;
-
-  LegoConfig async;
-  async.checkpoint.async = true;
-
-  const auto [state_a, learned_a] = run_scenario(sync);
-  const auto [state_b, learned_b] = run_scenario(async);
-  EXPECT_FALSE(state_a.empty());
-  EXPECT_EQ(state_a, state_b);
-  EXPECT_EQ(learned_a, learned_b);
+  const auto [clean, learned_clean] = run_scenario(false);
+  const auto [poisoned, learned_poisoned] = run_scenario(true);
+  EXPECT_FALSE(clean.empty());
+  EXPECT_EQ(clean, poisoned);
+  EXPECT_EQ(learned_clean, learned_poisoned);
 }
 
 // The pipeline stats surface in LegoStats: backward diffs happen, bytes are
-// saved, and every capture's encode lag is recorded.
+// saved, and every put's duration is recorded; nothing ever queues.
 TEST(CheckpointPipeline, DeltaPipelineStatsSurfaceInLegoStats) {
   auto net = netsim::Network::linear(2, 1);
   LegoController c(*net);
@@ -127,7 +116,6 @@ TEST(CheckpointPipeline, DeltaPipelineStatsSurfaceInLegoStats) {
   ASSERT_TRUE(c.start_system());
   c.run();
   for (int i = 0; i < 8; ++i) send_and_pump(*net, c, i % 2, 1 - i % 2);
-  c.flush_checkpoints();
 
   const auto stats = c.lego_stats();
   EXPECT_GT(stats.checkpoints, 0u);
@@ -137,6 +125,7 @@ TEST(CheckpointPipeline, DeltaPipelineStatsSurfaceInLegoStats) {
   EXPECT_GT(stats.checkpoint_stored_bytes, 0u);
   EXPECT_EQ(stats.encode_lag_us.count(), stats.checkpoints);
   EXPECT_EQ(stats.full_snapshots + stats.delta_snapshots, stats.checkpoints);
+  EXPECT_EQ(stats.inline_encodes, 0u);
 }
 
 } // namespace

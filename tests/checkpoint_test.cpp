@@ -1,6 +1,6 @@
 // Checkpoint module tests: the chunk diff codec, the snapshot store (newest
 // whole, older snapshots as backward diffs, checked against a reference that
-// keeps full copies), the checkpoint worker, and the event log.
+// keeps full copies, and under concurrent puts), and the event log.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,7 +8,6 @@
 #include <map>
 #include <thread>
 
-#include "checkpoint/checkpoint_worker.hpp"
 #include "checkpoint/delta_codec.hpp"
 #include "checkpoint/event_log.hpp"
 #include "checkpoint/snapshot_store.hpp"
@@ -298,6 +297,7 @@ TEST(SnapshotStore, MatchesFullCopyReferenceAcrossSeeds) {
       puts += 1;
       EXPECT_EQ(put.first, first) << what;
       EXPECT_EQ(put.stored_bytes, expect_stored) << what;
+      EXPECT_EQ(put.oldest_seq, q.front().seq) << what;
 
       expect_same(store.latest(app), q.back(), what + " latest");
       expect_same(store.oldest(app), q.front(), what + " oldest");
@@ -334,126 +334,52 @@ TEST(SnapshotStore, MatchesFullCopyReferenceAcrossSeeds) {
   EXPECT_GT(evictions, 0u);
 }
 
-// --- checkpoint worker ---
-
-TEST(CheckpointWorker, SyncModeStoresInline) {
-  SnapshotStore store(8);
-  CheckpointWorker worker(store, {.async = false});
-  worker.submit(AppId{1}, 1, kSimStart, pattern(512, 3));
-  // No flush needed: sync mode encodes on the calling thread.
-  EXPECT_EQ(store.latest_seq(AppId{1}), 1u);
-  EXPECT_EQ(worker.in_flight(), 0u);
-  EXPECT_EQ(worker.stats().encoded_inline, 1u);
-  EXPECT_EQ(worker.stats().inline_encodes, 0u); // not a backpressure fallback
-}
-
-TEST(CheckpointWorker, AsyncEncodesOffThreadAndFlushes) {
-  SnapshotStore store(16);
-  CheckpointWorker worker(store, {.async = true});
-  // 64 KiB of state with one dirty byte per event: each backward diff
-  // carries one or two chunks of the sixty-four, so the stored footprint
-  // must shrink.
-  Bytes state = pattern(64 * 1024, 1);
-  for (std::uint64_t seq = 1; seq <= 10; ++seq) {
-    state[seq * 97 % state.size()] ^= 0xFF;
-    worker.submit(AppId{1}, seq, kSimStart, Bytes(state));
-  }
-  worker.flush();
-  EXPECT_EQ(store.count(AppId{1}), 10u);
-  EXPECT_EQ(store.latest(AppId{1})->state, state);
-  const auto ws = worker.stats();
-  EXPECT_EQ(ws.submitted, 10u);
-  EXPECT_EQ(ws.encoded_async, 10u);
-  // The first put lands whole; each later one diffs its predecessor.
-  EXPECT_EQ(ws.full_snapshots, 1u);
-  EXPECT_EQ(ws.delta_snapshots, 9u);
-  EXPECT_EQ(ws.encode_lag_us.count(), 10u);
-  EXPECT_GT(ws.raw_bytes, ws.stored_bytes); // diffs shrank the footprint
-  EXPECT_LT(ws.stored_bytes, state.size() + 9 * 2 * (sizeof(DirtyChunk) + kChunkSize));
-}
-
-TEST(CheckpointWorker, BackpressureFallsBackInline) {
-  SnapshotStore store(64);
-  CheckpointWorker::Config wcfg;
-  wcfg.async = true;
-  wcfg.max_queue = 1;
-  wcfg.encode_delay = std::chrono::microseconds(2000);
-  CheckpointWorker worker(store, wcfg);
-  for (std::uint64_t seq = 1; seq <= 6; ++seq)
-    worker.submit(AppId{1}, seq, kSimStart, pattern(256, std::uint8_t(seq)));
-  worker.flush();
-  EXPECT_EQ(store.count(AppId{1}), 6u);
-  EXPECT_GT(worker.stats().inline_encodes, 0u);
-  // Ordering survived the inline fallbacks: seqs are strictly increasing.
-  const auto seqs = store.seqs(AppId{1});
-  EXPECT_TRUE(std::is_sorted(seqs.begin(), seqs.end()));
-}
-
-TEST(CheckpointWorker, InFlightVisibleWithEncodeDelay) {
-  SnapshotStore store(8);
-  CheckpointWorker::Config wcfg;
-  wcfg.async = true;
-  wcfg.encode_delay = std::chrono::microseconds(20000);
-  CheckpointWorker worker(store, wcfg);
-  worker.submit(AppId{1}, 1, kSimStart, pattern(128, 1));
-  EXPECT_GT(worker.in_flight(), 0u); // still encoding (20ms artificial delay)
-  EXPECT_FALSE(store.latest_seq(AppId{1}).has_value());
-  worker.flush();
-  EXPECT_EQ(worker.in_flight(), 0u);
-  EXPECT_EQ(store.latest_seq(AppId{1}), 1u);
-}
-
-// Every app's history depends on its snapshots landing in submission order.
-// Hammer the worker from several threads (each owning disjoint apps, so
-// per-app submission order is well defined), with a queue small enough to
-// force backpressure inline fallbacks, and check each app's stored history:
-// exact sequence, no gaps, the latest state byte-identical to the last
-// capture and the oldest, rebuilt through every backward diff, to the first.
-TEST(CheckpointWorker, PoolPreservesPerAppOrderUnderConcurrency) {
-  SnapshotStore store(64);
-  CheckpointWorker::Config wcfg;
-  wcfg.async = true;
-  wcfg.max_queue = 2;
-  wcfg.encode_delay = std::chrono::microseconds(200);
-  CheckpointWorker worker(store, wcfg);
-
+// Shard lanes put into the store concurrently, each for its own clones'
+// histories, on the thread that dispatches the event. Put from several
+// threads (each owning disjoint apps, so per-app put order is well defined)
+// and check each app's history: exact sequence, no gaps, the newest state
+// byte-identical to the last put and the oldest, rebuilt through every
+// backward diff, to the first.
+TEST(SnapshotStore, ConcurrentPutsKeepPerAppHistories) {
   constexpr std::uint32_t kThreads = 4;
   constexpr std::uint32_t kAppsPerThread = 3;
-  constexpr std::uint64_t kSubmitsPerApp = 16;
-  std::vector<std::thread> submitters;
+  constexpr std::uint64_t kPutsPerApp = 16;
+  SnapshotStore store(kPutsPerApp);
+  auto state_at = [](AppId app, std::uint64_t seq) {
+    Bytes state = pattern(1024, std::uint8_t(raw(app)));
+    state[seq * 131 % state.size()] ^= std::uint8_t(seq);
+    return state;
+  };
+
+  std::vector<std::thread> lanes;
   for (std::uint32_t t = 0; t < kThreads; ++t) {
-    submitters.emplace_back([&worker, t] {
-      for (std::uint64_t seq = 1; seq <= kSubmitsPerApp; ++seq) {
+    lanes.emplace_back([&store, &state_at, t] {
+      for (std::uint64_t seq = 1; seq <= kPutsPerApp; ++seq) {
         for (std::uint32_t a = 0; a < kAppsPerThread; ++a) {
           const AppId app{1 + t * kAppsPerThread + a};
-          Bytes state = pattern(1024, std::uint8_t(raw(app)));
-          state[seq * 131 % state.size()] ^= std::uint8_t(seq);
-          worker.submit(app, seq, kSimStart, std::move(state));
+          const auto put = store.put(app, seq, kSimStart, state_at(app, seq));
+          EXPECT_EQ(put.first, seq == 1);
+          EXPECT_EQ(put.oldest_seq, 1u);
         }
       }
     });
   }
-  for (auto& th : submitters) th.join();
-  worker.flush();
-  EXPECT_EQ(worker.in_flight(), 0u);
+  for (auto& th : lanes) th.join();
 
   for (std::uint32_t id = 1; id <= kThreads * kAppsPerThread; ++id) {
     const AppId app{id};
     const auto seqs = store.seqs(app);
-    ASSERT_EQ(seqs.size(), kSubmitsPerApp) << "app " << id;
-    for (std::uint64_t i = 0; i < kSubmitsPerApp; ++i)
+    ASSERT_EQ(seqs.size(), kPutsPerApp) << "app " << id;
+    for (std::uint64_t i = 0; i < kPutsPerApp; ++i)
       ASSERT_EQ(seqs[i], i + 1) << "app " << id; // exact order, no drops
-    for (const std::uint64_t seq : {std::uint64_t{1}, kSubmitsPerApp}) {
-      Bytes expect = pattern(1024, std::uint8_t(id));
-      expect[seq * 131 % expect.size()] ^= std::uint8_t(seq);
-      const auto snap = store.at_or_before(app, seq);
-      ASSERT_TRUE(snap.has_value()) << "app " << id;
-      EXPECT_EQ(snap->state, expect) << "app " << id << " seq " << seq;
-    }
+    const auto newest = store.latest(app);
+    const auto oldest = store.oldest(app);
+    ASSERT_TRUE(newest.has_value() && oldest.has_value()) << "app " << id;
+    EXPECT_EQ(newest->event_seq, kPutsPerApp) << "app " << id;
+    EXPECT_EQ(newest->state, state_at(app, kPutsPerApp)) << "app " << id;
+    EXPECT_EQ(oldest->event_seq, 1u) << "app " << id;
+    EXPECT_EQ(oldest->state, state_at(app, 1)) << "app " << id;
   }
-  const auto ws = worker.stats();
-  EXPECT_EQ(ws.submitted, kThreads * kAppsPerThread * kSubmitsPerApp);
-  EXPECT_EQ(ws.encoded_async + ws.encoded_inline, ws.submitted);
   EXPECT_EQ(store.stats().compose_failures, 0u);
 }
 

@@ -116,7 +116,6 @@ TEST(Tickets, CarryRecentEventHistory) {
   c.run();
   send_and_pump(*net, c, 0, 1);
   send_and_pump(*net, c, 1, 0);
-  c.flush_checkpoints(); // a snapshot has landed, so the ticket has a restore point
   send_and_pump(*net, c, 0, 1, 666);
   ASSERT_EQ(c.tickets().count(), 1u);
   const auto& t = c.tickets().all()[0];

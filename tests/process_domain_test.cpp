@@ -5,6 +5,7 @@
 #include <signal.h>
 #include <sys/wait.h>
 
+#include <cerrno>
 #include <functional>
 
 #include "appvisor/process_domain.hpp"
@@ -104,6 +105,13 @@ TEST(ProcessDomain, RealCrashIsDetectedAndControllerSurvives) {
   EXPECT_NE(out.crash_info.find("crashed on"), std::string::npos);
   EXPECT_FALSE(d.alive());
   // We (the proxy) are obviously still running — that's the whole point.
+  // The dead stub is already reaped when deliver returns: no zombie is left
+  // for a later poll to collect.
+  EXPECT_EQ(d.child_pid(), -1);
+  int status = 0;
+  errno = 0;
+  EXPECT_EQ(::waitpid(pid_before, &status, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
 
   // Restart respawns a fresh process.
   ASSERT_TRUE(d.restart());

@@ -243,11 +243,10 @@ TEST(Localization, ControllerFindsMultiEventCulpritsInVivo) {
   EXPECT_TRUE(c.appvisor().entries()[0].domain->alive());
 }
 
-/// Drain the controller, then let every captured checkpoint land.
+/// Drain the controller (every captured checkpoint is stored by then).
 void settle(lego::LegoController& c) {
   while (c.run() > 0) {
   }
-  c.flush_checkpoints();
 }
 
 of::PacketIn offender_for(const of::Packet& fatal) {
@@ -352,7 +351,6 @@ TEST(Recovery, SnapshotHistorySupportsOlderRollback) {
     }
   }
   const AppId app = c.appvisor().entries()[0].id;
-  c.flush_checkpoints(); // let the async encoder land everything captured
   ASSERT_GT(c.snapshots().count(app), 1u);
   const auto latest = c.snapshots().latest(app);
   ASSERT_TRUE(latest.has_value());

@@ -494,9 +494,6 @@ Outcome run_scenario(std::uint64_t seed, std::size_t shards) {
   // legitimately different between interleavings. The differential pins down
   // the commit path itself, so verification stays off here.
   cfg.byzantine_detection = false;
-  // Synchronous encodes keep restore points exact, so the recovery replay
-  // span is empty in both modes and the oracle compares pure event effects.
-  cfg.checkpoint.async = false;
   LegoController c(*net, cfg);
 
   c.add_app(std::make_shared<ShardProbeApp>(net->switch_ids(), /*poison_mod=*/23));

@@ -12,7 +12,7 @@
 // Part 2 sweeps the checkpoint period k and reports (a) amortized overhead
 // per event and (b) crash-recovery cost (restore + replay of up to k-1
 // events) — the trade-off the §5 extension navigates.
-// Part 3 (C8) prices the checkpoint the controller pays on the event path,
+// Part 3 (C2b) prices the checkpoint the controller pays on the event path,
 // across state sizes: the capture plus the SnapshotStore put (a memcmp diff
 // of the previous newest snapshot into a backward delta), both inline, as
 // LegoController runs them. Each row checks that the store's newest and
@@ -41,7 +41,7 @@ ctl::Event make_packet_in(std::uint64_t i) {
   return pin;
 }
 
-/// Snapshots the C8 store retains per app.
+/// Snapshots the C2b store retains per app.
 constexpr std::size_t kKeep = 16;
 
 struct PipelineRow {
@@ -236,7 +236,7 @@ int main() {
     bench::note("exactly the trade-off §5 proposes to navigate.");
   }
 
-  bench::section("C8: checkpoint on the event path, capture + store put (§5)");
+  bench::section("C2b: checkpoint on the event path, capture + store put (§5)");
   std::vector<PipelineRow> rows;
   {
     std::vector<std::size_t> sizes = {std::size_t{1} << 14, std::size_t{1} << 16,

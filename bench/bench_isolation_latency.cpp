@@ -14,12 +14,12 @@
 //                 without a per-event checkpoint (§4.1 takes one per event).
 // Process rows also report RPCs per event: a per-event checkpoint rides on
 // the deliver's reply, so it should cost one.
-#include <thread>
 
 #include "appvisor/inprocess_domain.hpp"
 #include "appvisor/process_domain.hpp"
 #include "apps/learning_switch.hpp"
 #include "bench_util.hpp"
+#include "common/cpus.hpp"
 #include "controller/controller.hpp"
 #include "netsim/network.hpp"
 
@@ -244,7 +244,7 @@ int main() {
   bench::Json j;
   j.begin_obj()
       .kv("bench", std::string("isolation_latency"))
-      .kv("host_cpus", static_cast<std::uint64_t>(std::thread::hardware_concurrency()))
+      .kv("host_cpus", static_cast<std::uint64_t>(usable_cpus()))
       .begin_arr("paths");
   for (const auto& r : rows) {
     j.begin_obj().kv("path", r.path);

@@ -50,6 +50,7 @@
 
 #include "bench_util.hpp"
 #include "common/bytes.hpp"
+#include "common/cpus.hpp"
 #include "common/stats.hpp"
 #include "controller/app.hpp"
 #include "legosdn/lego_controller.hpp"
@@ -142,6 +143,7 @@ struct Cell {
   Histogram lat; ///< per-event completion latency (us)
   // Batching counters (sharded rows only; zero on the serial row).
   std::uint64_t batches = 0;
+  std::uint64_t inline_batches = 0; ///< run on the injecting thread (one CPU)
   double events_per_batch_p50 = 0;
   double events_per_batch_max = 0;
   std::uint64_t lock_acquisitions = 0;
@@ -242,6 +244,7 @@ Cell run_cell(const Workload& w, std::size_t shards, std::size_t events,
     const auto st = c.dispatch_engine()->stats();
     cell.lat = st.latency_us;
     cell.batches = st.batches - warm_stats.batches;
+    cell.inline_batches = st.inline_batches - warm_stats.inline_batches;
     cell.events_per_batch_p50 = st.batch_events.percentile(50);
     cell.events_per_batch_max = st.batch_events.max();
     cell.lock_acquisitions = st.lock_acquisitions - warm_stats.lock_acquisitions;
@@ -253,7 +256,7 @@ Cell run_cell(const Workload& w, std::size_t shards, std::size_t events,
 }
 
 void row_json(bench::Json& j, const Workload& w, std::size_t shards,
-              std::size_t batch, bool batched, unsigned host_cpus,
+              std::size_t batch, bool batched, std::size_t host_cpus,
               const Cell& cell, double speedup, const char* speedup_key) {
   j.begin_obj();
   j.kv("workload", std::string(w.name));
@@ -266,6 +269,7 @@ void row_json(bench::Json& j, const Workload& w, std::size_t shards,
   j.kv(speedup_key, speedup);
   if (shards > 1) {
     j.kv("batches", cell.batches);
+    j.kv("inline_batches", cell.inline_batches);
     j.kv("events_per_batch_p50", cell.events_per_batch_p50, 1);
     j.kv("events_per_batch_max", cell.events_per_batch_max, 0);
     j.kv("lock_acquisitions", cell.lock_acquisitions);
@@ -283,10 +287,16 @@ int main() {
   // Long enough per cell (~1s at the cpu-bound rate) that scheduler noise on
   // small hosts stays inside a few percent; 20k-event cells measured ~0.2s
   // and swung +/-25% run to run.
-  const std::size_t events = bench::smoke() ? 2'000 : 80'000;
+  constexpr std::size_t kFullEvents = 80'000;
+  const std::size_t events = bench::smoke() ? 2'000 : kFullEvents;
+  // The sweep feeds the gated headline_batched ratio, so its cells keep the
+  // full size in smoke runs too. 2,000-event cells last a few ms, and ten
+  // smoke runs spread the ratio 1.13-1.93x, across the 1.2x floor;
+  // 80,000-event cells read 1.37-1.97x in 25 consecutive runs (4-vCPU VM).
+  const std::size_t sweep_events = kFullEvents;
   const bool batched = bench::batch_enabled();
   const std::size_t batch = batched ? bench::batch_size() : 1;
-  const unsigned host_cpus = std::thread::hardware_concurrency();
+  const std::size_t host_cpus = usable_cpus();
   const std::vector<std::size_t> shard_counts = {1, 2, 4};
   const std::vector<Workload> workloads = {
       {"cpu-bound", 2'000, 0, 0},
@@ -314,6 +324,7 @@ int main() {
   j.kv("bench", std::string("throughput"));
   j.kv("topology", std::string("fat-tree(4)"));
   j.kv("events", static_cast<std::uint64_t>(events));
+  j.kv("sweep_events", static_cast<std::uint64_t>(sweep_events));
   j.kv("host_cpus", static_cast<std::uint64_t>(host_cpus));
   j.kv_bool("batched", batched);
   j.kv("batch_size", static_cast<std::uint64_t>(batch));
@@ -351,7 +362,8 @@ int main() {
   const std::vector<std::size_t> sweep_sizes =
       bench::smoke() ? std::vector<std::size_t>{1, 64}
                      : std::vector<std::size_t>{1, 16, 64, 256};
-  bench::section("batch-size sweep (cpu-bound, 4 shards)");
+  bench::section("batch-size sweep (cpu-bound, 4 shards, " +
+                 std::to_string(sweep_events) + " events)");
   std::vector<std::string> sweep_headers{"batch", "events/s", "speedup",
                                          "batches", "epb p50", "epb max",
                                          "lock acq", "coal commits"};
@@ -359,7 +371,7 @@ int main() {
   j.begin_arr("batch_sweep");
   double unbatched_eps = 0, batched_eps = 0;
   for (const std::size_t b : sweep_sizes) {
-    const Cell cell = run_cell(workloads[0], 4, events, b, /*coalesce=*/b > 1);
+    const Cell cell = run_cell(workloads[0], 4, sweep_events, b, /*coalesce=*/b > 1);
     if (b == 1) unbatched_eps = cell.events_per_sec;
     if (b == sweep_sizes.back()) batched_eps = cell.events_per_sec;
     const double speedup =

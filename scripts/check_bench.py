@@ -251,7 +251,7 @@ def check_ablation(path: Path, doc) -> None:
 
 
 def check_checkpoint(path: Path, doc) -> None:
-    """Schema for BENCH_checkpoint.json (experiment C8): one pipeline row per
+    """Schema for BENCH_checkpoint.json (experiment C2b): one pipeline row per
     state size, each with a boolean restore_ok that is true only when the
     store's newest and oldest retained snapshots equal the bench's own
     captures byte for byte. A correctness flag, not a timing, so it holds on

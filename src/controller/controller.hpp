@@ -48,7 +48,9 @@ public:
 
   /// Queue an event as if it arrived from the network. With a dispatch
   /// engine installed the event is submitted to its shard lane instead
-  /// (and may start executing immediately on a lane thread).
+  /// (and may start executing immediately on a lane thread), but never on
+  /// the calling thread: the network's northbound callbacks call this from
+  /// inside packet forwarding.
   void inject_event(Event e);
 
   /// Queue a span of events, preserving their order. Engine mode uses
@@ -56,6 +58,11 @@ public:
   /// instead of per event); serial mode appends to the queue. The wire
   /// southbound feeds every decoded frame of one socket read pass through
   /// here.
+  ///
+  /// In engine mode on one CPU, the events may run to completion on the
+  /// calling thread before this returns. The caller must therefore hold no
+  /// lock of the dispatch path (NetLog stripes, the transaction gate, an
+  /// app entry's lock) and must not be inside a Network callback.
   void inject_events(std::vector<Event> events);
 
   /// Process one queued event through the dispatch chain.
@@ -70,7 +77,8 @@ public:
 
   // --- parallel dispatch engine (sharded_dispatch.hpp) ---
   /// Route subsequent events through a sharded dispatcher. `sink` executes on
-  /// lane threads and must be thread-safe; events for the same dpid stay on
+  /// lane threads (on one CPU, also on the thread calling inject_events())
+  /// and must be thread-safe; events for the same dpid stay on
   /// one lane, cross-switch events arrive with shard == ShardRouter::kGlobal
   /// under a stop-the-world barrier. Call before start().
   void install_dispatch_engine(ShardedDispatcher::Config cfg,

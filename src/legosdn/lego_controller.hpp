@@ -270,7 +270,7 @@ private:
   bool apply_transaction(appvisor::AppEntry& entry,
                          std::vector<of::Message> emitted, std::string* violation);
   /// Commit every open coalesced transaction on `shard` (the dispatcher's
-  /// on_batch_end hook; runs on the lane thread).
+  /// on_batch_end hook; runs on the thread holding the lane's run).
   void flush_coalesced(std::size_t shard);
   /// Commit one app's open coalesced transaction, if any — called before a
   /// verifying transaction and when a crash/quota fault interrupts the
@@ -318,9 +318,11 @@ private:
   std::map<TxnId, TxnId> txn_map_;
 
   /// Per-lane open coalesced transactions, keyed by app. Sized once when the
-  /// engine is installed; each slot is touched only by its owning lane
-  /// thread (applies during dispatch, flushes via on_batch_end), so the
-  /// slots need no locks.
+  /// engine is installed; each slot is touched only by the thread that holds
+  /// the lane's run (the lane thread, or on one CPU a submitter running the
+  /// lane's batch inline; applies during dispatch, flushes via
+  /// on_batch_end), and the dispatcher hands the run over under the lane's
+  /// lock, so the slots need no locks of their own.
   struct LaneCoalesce {
     std::unordered_map<AppId, TxnId> open;
   };

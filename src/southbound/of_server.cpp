@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <utility>
 
 namespace legosdn::southbound {
 
@@ -22,6 +23,11 @@ std::uint64_t steady_ms() {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
+
+/// The server whose poll() this thread is dispatching socket events for.
+/// A send() made there (from an event callback, or a dispatcher lane's batch
+/// run inline on this thread) lands before the same poll()'s flush sweep.
+thread_local const OFServer* t_dispatching = nullptr;
 
 } // namespace
 
@@ -359,9 +365,11 @@ bool OFServer::send(DatapathId dpid, const of::Message& msg) {
     std::lock_guard<std::mutex> lk(stats_mu_);
     stats_.sends += 1;
   }
-  // Per-conn buffering until the next flush sweep; at most one eventfd poke
-  // per poll cycle (wake_pending_).
-  mark_dirty(c, /*from_loop_thread=*/false);
+  // Per-conn buffering until the next flush sweep. From inside this
+  // server's socket dispatch, that sweep is still ahead in the same poll()
+  // and needs no poke; from any other thread (or later in the pass), at most
+  // one eventfd poke per poll cycle (wake_pending_).
+  mark_dirty(c, /*from_loop_thread=*/t_dispatching == this);
   return true;
 }
 
@@ -369,7 +377,9 @@ void OFServer::wakeup() { loop_.wakeup(); }
 
 int OFServer::poll(int timeout_ms) {
   work_ = 0;
+  const OFServer* const outer = std::exchange(t_dispatching, this);
   work_ += loop_.poll(timeout_ms);
+  t_dispatching = outer;
   // The loop is awake: the next cross-thread dirty transition needs a fresh
   // poke. Cleared before the sweep so a send landing mid-sweep re-signals.
   wake_pending_.store(false, std::memory_order_release);

@@ -9,11 +9,15 @@
 //
 // Threading: poll() runs on exactly one thread. send() is callable from any
 // thread (dispatcher lanes emit flow-mods from NetLog commits): it encodes
-// onto the owning connection's send ring, marks the connection dirty, and
-// wakes the loop, which flushes dirty connections with coalesced writev
-// calls on its next pass. Decoded steady-state frames surface as
-// ctl::Event through the event callback — dpid routing onto dispatcher
-// lanes preserves per-switch ordering end-to-end from the wire.
+// onto the owning connection's send ring and marks the connection dirty;
+// each poll() ends its socket dispatch with one sweep that flushes dirty
+// connections with coalesced writev calls. A send() from another thread
+// also wakes the loop with an eventfd poke. A send() from the polling
+// thread while it dispatches socket events (an event callback, or on one
+// CPU a dispatcher lane's batch run inline from the batch callback) does
+// not: the same poll()'s sweep writes it. Decoded steady-state frames
+// surface as ctl::Event through the event callback — dpid routing onto
+// dispatcher lanes preserves per-switch ordering end-to-end from the wire.
 #pragma once
 
 #include <atomic>
@@ -85,7 +89,8 @@ public:
 
   /// Any thread: encode and enqueue `msg` for the switch owning `dpid`.
   /// False when no ready connection exists (message dropped — matching a
-  /// severed OF channel) or encoding fails.
+  /// severed OF channel) or encoding fails. Called from inside this
+  /// server's poll() event callbacks, the frame goes out in that poll().
   bool send(DatapathId dpid, const of::Message& msg);
 
   /// Thread-safe: interrupt a blocking poll().
@@ -116,7 +121,7 @@ public:
     std::uint64_t event_batches = 0; ///< batch deliveries (set_event_batch)
     std::uint64_t sends = 0;
     std::uint64_t sends_dropped = 0;
-    std::uint64_t wakeups = 0; ///< eventfd pokes issued by cross-thread send()
+    std::uint64_t wakeups = 0; ///< eventfd pokes issued by send() from outside poll()
     std::uint64_t reads_paused = 0;
     std::uint64_t reads_resumed = 0;
     std::uint64_t bytes_in = 0;

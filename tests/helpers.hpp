@@ -3,6 +3,7 @@
 #pragma once
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include "common/rng.hpp"
 #include "controller/app.hpp"
@@ -337,5 +338,37 @@ inline of::Message canonicalize(of::Message msg) {
       msg.body);
   return msg;
 }
+
+/// Pins the calling thread to the first CPU of its affinity mask for the
+/// scope's life, then restores the mask. Build a dispatcher (or a sharded
+/// LegoController's engine) inside it: the dispatcher then reads one usable
+/// CPU and runs idle lanes' batches on the submitting thread, and its lane
+/// threads keep that one CPU.
+class OneCpuScope {
+public:
+  OneCpuScope() {
+    CPU_ZERO(&saved_);
+    if (::sched_getaffinity(0, sizeof(saved_), &saved_) != 0) return;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &saved_)) {
+        CPU_SET(cpu, &one);
+        break;
+      }
+    }
+    pinned_ = ::sched_setaffinity(0, sizeof(one), &one) == 0;
+    EXPECT_TRUE(pinned_) << "could not pin the test thread to one CPU";
+  }
+  ~OneCpuScope() {
+    if (pinned_) ::sched_setaffinity(0, sizeof(saved_), &saved_);
+  }
+  OneCpuScope(const OneCpuScope&) = delete;
+  OneCpuScope& operator=(const OneCpuScope&) = delete;
+
+private:
+  cpu_set_t saved_{};
+  bool pinned_ = false;
+};
 
 } // namespace legosdn::test

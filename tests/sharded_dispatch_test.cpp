@@ -1,10 +1,13 @@
 // Sharded dispatch tests: ShardRouter classification, ShardedDispatcher
 // ordering guarantees (per-switch FIFO, stop-the-world barriers, re-entrant
-// submit), and the seeded differential oracle — the same multi-switch event
-// stream driven through a serial (1-shard) and a 4-shard LegoController must
-// leave identical per-switch flow tables, NetLog commit counts, merged app
-// state and forwarding behaviour. LEGOSDN_SHARD_DIFF_SEEDS overrides the
-// seed count (default 50).
+// submit), which thread runs a lane's batch on one CPU, and the seeded
+// differential oracle — the same multi-switch event stream driven through a
+// serial (1-shard) and a 4-shard LegoController must leave identical
+// per-switch flow tables, NetLog commit counts, merged app state and
+// forwarding behaviour. LEGOSDN_SHARD_DIFF_SEEDS overrides the seed count
+// (default 50). The ShardedDispatcherOneCpu suite builds its dispatchers
+// pinned to one CPU (test::OneCpuScope), where idle lanes run batches on the
+// submitting thread.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,11 +15,14 @@
 #include <cstdlib>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/cpus.hpp"
 #include "common/rng.hpp"
 #include "controller/shard_router.hpp"
 #include "controller/sharded_dispatch.hpp"
@@ -28,6 +34,7 @@ namespace legosdn::lego {
 namespace {
 
 using legosdn::test::mac;
+using legosdn::test::OneCpuScope;
 using legosdn::test::packet_between;
 using legosdn::test::RecorderApp;
 
@@ -112,41 +119,66 @@ TEST(ShardRouter, LinkDownRoutesByEndpointAgreement) {
 // ShardedDispatcher
 // ---------------------------------------------------------------------------
 
-TEST(ShardedDispatcher, PerSwitchOrderIsPreserved) {
+/// A dispatcher built on the host's CPUs, or pinned to one (inline runs).
+std::unique_ptr<ctl::ShardedDispatcher> make_dispatcher(
+    bool one_cpu, ctl::ShardedDispatcher::Config cfg, ctl::ShardedDispatcher::Sink sink) {
+  std::optional<OneCpuScope> pin;
+  if (one_cpu) pin.emplace();
+  return std::make_unique<ctl::ShardedDispatcher>(std::move(cfg), std::move(sink));
+}
+
+/// How an ordering test hands its i-th event over. On one CPU, kMixed lets
+/// one-event batches run inline on idle lanes while submit()s queue on the
+/// same lanes, so FIFO must hold across both paths.
+enum class Feed { kSubmit, kMixed };
+
+void feed(ctl::ShardedDispatcher& d, ctl::Event e, Feed how, std::uint64_t i) {
+  if (how == Feed::kMixed && i % 2 == 0) {
+    std::vector<ctl::Event> one;
+    one.push_back(std::move(e));
+    d.submit_batch(std::move(one));
+  } else {
+    d.submit(std::move(e));
+  }
+}
+
+void per_switch_order_is_preserved(bool one_cpu, Feed how) {
   std::mutex mu;
   std::map<std::uint64_t, std::vector<std::uint64_t>> seen; // dpid -> tags
-  ctl::ShardedDispatcher d({.shards = 4},
+  auto d = make_dispatcher(one_cpu, {.shards = 4},
                            [&](ctl::Event e, std::size_t) {
                              const auto& pin = std::get<of::PacketIn>(e);
                              std::lock_guard<std::mutex> lk(mu);
                              seen[raw(pin.dpid)].push_back(pin.packet.trace_tag);
                            });
   constexpr std::uint64_t kPerDpid = 200;
+  std::uint64_t i = 0;
   for (std::uint64_t tag = 0; tag < kPerDpid; ++tag) {
     for (std::uint64_t dpid = 1; dpid <= 6; ++dpid) {
-      d.submit(ctl::Event{packet_in(dpid, 1, tag)});
+      feed(*d, ctl::Event{packet_in(dpid, 1, tag)}, how, i++);
     }
   }
-  d.drain();
+  d->drain();
   ASSERT_EQ(seen.size(), 6u);
   for (const auto& [dpid, tags] : seen) {
     ASSERT_EQ(tags.size(), kPerDpid) << "dpid " << dpid;
     EXPECT_TRUE(std::is_sorted(tags.begin(), tags.end()))
         << "dpid " << dpid << ": per-switch FIFO order violated";
   }
-  const auto st = d.stats();
+  const auto st = d->stats();
   EXPECT_EQ(st.dispatched, 6 * kPerDpid);
   EXPECT_EQ(st.barriers, 0u);
+  if (one_cpu && how == Feed::kMixed) EXPECT_GT(st.inline_batches, 0u);
 }
 
-TEST(ShardedDispatcher, BarrierIsTotallyOrderedAgainstLocals) {
+void barrier_is_totally_ordered(bool one_cpu, Feed how) {
   // Tags: locals carry their submission index; the global carries kGlobalTag.
   // Everything submitted before the global must execute before it, everything
   // after must execute after — on every lane.
   constexpr std::uint64_t kGlobalTag = 1'000'000;
   std::mutex mu;
   std::vector<std::uint64_t> order;
-  ctl::ShardedDispatcher d({.shards = 4},
+  auto d = make_dispatcher(one_cpu, {.shards = 4},
                            [&](ctl::Event e, std::size_t shard) {
                              const auto& pin = std::get<of::PacketIn>(e);
                              if (pin.packet.trace_tag == kGlobalTag) {
@@ -157,11 +189,11 @@ TEST(ShardedDispatcher, BarrierIsTotallyOrderedAgainstLocals) {
                            });
   constexpr std::uint64_t kPre = 120, kPost = 120;
   for (std::uint64_t i = 0; i < kPre; ++i)
-    d.submit(ctl::Event{packet_in(1 + i % 8, 1, i)});
-  d.submit(ctl::Event{packet_in(0, 1, kGlobalTag)}); // dpid 0 -> barrier
+    feed(*d, ctl::Event{packet_in(1 + i % 8, 1, i)}, how, i);
+  feed(*d, ctl::Event{packet_in(0, 1, kGlobalTag)}, how, 0); // dpid 0 -> barrier
   for (std::uint64_t i = 0; i < kPost; ++i)
-    d.submit(ctl::Event{packet_in(1 + i % 8, 1, kPre + i)});
-  d.drain();
+    feed(*d, ctl::Event{packet_in(1 + i % 8, 1, kPre + i)}, how, i);
+  d->drain();
 
   ASSERT_EQ(order.size(), kPre + kPost + 1);
   const auto at = std::find(order.begin(), order.end(), kGlobalTag);
@@ -170,16 +202,16 @@ TEST(ShardedDispatcher, BarrierIsTotallyOrderedAgainstLocals) {
     EXPECT_LT(*it, kPre) << "post-barrier event ran before the barrier";
   for (auto it = at + 1; it != order.end(); ++it)
     EXPECT_GE(*it, kPre) << "pre-barrier event ran after the barrier";
-  EXPECT_EQ(d.stats().barriers, 1u);
-  EXPECT_EQ(d.stats().dispatched, kPre + kPost + 1);
+  EXPECT_EQ(d->stats().barriers, 1u);
+  EXPECT_EQ(d->stats().dispatched, kPre + kPost + 1);
 }
 
-TEST(ShardedDispatcher, ReentrantSubmitIsCountedByDrain) {
+void reentrant_submit_is_counted_by_drain(bool one_cpu, Feed how) {
   // Sinks may submit derived events (the packet-in punt path); drain() must
   // wait for the whole cascade, including cross-lane descendants.
   ctl::ShardedDispatcher* self = nullptr;
   std::atomic<std::uint64_t> handled{0};
-  ctl::ShardedDispatcher d({.shards = 4},
+  auto d = make_dispatcher(one_cpu, {.shards = 4},
                            [&](ctl::Event e, std::size_t) {
                              const auto& pin = std::get<of::PacketIn>(e);
                              handled.fetch_add(1);
@@ -188,13 +220,25 @@ TEST(ShardedDispatcher, ReentrantSubmitIsCountedByDrain) {
                                    raw(pin.dpid) + 1, 1, pin.packet.trace_tag + 1)});
                              }
                            });
-  self = &d;
+  self = d.get();
   constexpr std::uint64_t kRoots = 16;
   for (std::uint64_t i = 0; i < kRoots; ++i)
-    d.submit(ctl::Event{packet_in(1 + i, 1, 0)});
-  d.drain();
+    feed(*d, ctl::Event{packet_in(1 + i, 1, 0)}, how, i);
+  d->drain();
   EXPECT_EQ(handled.load(), kRoots * 3); // each root spawns depth 1 and 2
-  EXPECT_EQ(d.stats().dispatched, kRoots * 3);
+  EXPECT_EQ(d->stats().dispatched, kRoots * 3);
+}
+
+TEST(ShardedDispatcher, PerSwitchOrderIsPreserved) {
+  per_switch_order_is_preserved(/*one_cpu=*/false, Feed::kSubmit);
+}
+
+TEST(ShardedDispatcher, BarrierIsTotallyOrderedAgainstLocals) {
+  barrier_is_totally_ordered(/*one_cpu=*/false, Feed::kSubmit);
+}
+
+TEST(ShardedDispatcher, ReentrantSubmitIsCountedByDrain) {
+  reentrant_submit_is_counted_by_drain(/*one_cpu=*/false, Feed::kSubmit);
 }
 
 TEST(ShardedDispatcher, StatsAggregateAcrossLanes) {
@@ -217,15 +261,15 @@ TEST(ShardedDispatcher, StatsAggregateAcrossLanes) {
 // submission — per-switch FIFO holds across both paths, and every barrier
 // observes precisely the locals submitted before it (none after). The
 // batching stats must show activity on this path.
-TEST(ShardedDispatcher, SeededBatchSubmitInterleavePreservesOrder) {
+void seeded_batch_interleave(bool one_cpu) {
   for (const std::uint64_t seed : {11ull, 29ull, 4242ull}) {
     Rng rng(seed);
     std::mutex mu;
     std::map<std::uint64_t, std::vector<std::uint64_t>> got; // dpid -> tags
     std::atomic<std::uint64_t> locals_done{0};
     std::vector<std::uint64_t> barrier_saw; // locals complete at each barrier
-    ctl::ShardedDispatcher d(
-        {.shards = 4}, [&](ctl::Event e, std::size_t shard) {
+    auto dp = make_dispatcher(
+        one_cpu, {.shards = 4}, [&](ctl::Event e, std::size_t shard) {
           const auto& pin = std::get<of::PacketIn>(e);
           if (shard == ctl::ShardRouter::kGlobal) {
             // World stopped: no lane is running, so this is race-free.
@@ -236,6 +280,7 @@ TEST(ShardedDispatcher, SeededBatchSubmitInterleavePreservesOrder) {
           got[raw(pin.dpid)].push_back(pin.packet.trace_tag);
           locals_done.fetch_add(1);
         });
+    ctl::ShardedDispatcher& d = *dp;
 
     std::map<std::uint64_t, std::vector<std::uint64_t>> want;
     std::vector<std::uint64_t> barrier_want;
@@ -279,6 +324,10 @@ TEST(ShardedDispatcher, SeededBatchSubmitInterleavePreservesOrder) {
     EXPECT_GT(st.batch_events.count(), 0u);
     EXPECT_GT(st.lock_acquisitions, 0u);
   }
+}
+
+TEST(ShardedDispatcher, SeededBatchSubmitInterleavePreservesOrder) {
+  seeded_batch_interleave(/*one_cpu=*/false);
 }
 
 // The amortization itself: one large same-switch batch must cost far fewer
@@ -327,6 +376,174 @@ TEST(ShardedDispatcher, SoakRecordsEveryEventAndBatch) {
   EXPECT_EQ(st.latency_us.count(), st.dispatched);
   EXPECT_EQ(st.batch_events.count(), st.batches);
   EXPECT_EQ(st.batch_events.sum(), static_cast<double>(st.dispatched - st.barriers));
+}
+
+// ---------------------------------------------------------------------------
+// Who runs a lane's batch: on one CPU, the submitting thread if the lane is
+// idle and its sink does not block
+// ---------------------------------------------------------------------------
+
+/// Which thread ran each event, by tag.
+class ThreadLog {
+public:
+  void note(const ctl::Event& e) {
+    const std::uint64_t tag = std::get<of::PacketIn>(e).packet.trace_tag;
+    std::lock_guard<std::mutex> lk(mu_);
+    by_tag_[tag] = std::this_thread::get_id();
+  }
+  std::thread::id at(std::uint64_t tag) {
+    std::lock_guard<std::mutex> lk(mu_);
+    const auto it = by_tag_.find(tag);
+    EXPECT_NE(it, by_tag_.end()) << "tag " << tag << " never ran";
+    return it == by_tag_.end() ? std::thread::id{} : it->second;
+  }
+
+private:
+  std::mutex mu_;
+  std::map<std::uint64_t, std::thread::id> by_tag_;
+};
+
+/// `n` packet-ins for one dpid (so one lane), tagged from `first_tag`.
+std::vector<ctl::Event> batch_of(std::uint64_t dpid, std::uint64_t first_tag,
+                                 std::uint64_t n) {
+  std::vector<ctl::Event> batch;
+  for (std::uint64_t i = 0; i < n; ++i)
+    batch.push_back(ctl::Event{packet_in(dpid, 1, first_tag + i)});
+  return batch;
+}
+
+TEST(ShardedDispatcherOneCpu, CpuBoundSinkRunsOnSubmittingThread) {
+  const auto me = std::this_thread::get_id();
+  ThreadLog log;
+  std::atomic<std::uint64_t> acc{0};
+  std::atomic<std::uint64_t> batch_ends{0};
+  ctl::ShardedDispatcher::Config cfg;
+  cfg.shards = 4;
+  cfg.on_batch_end = [&](std::size_t) {
+    EXPECT_EQ(std::this_thread::get_id(), me);
+    batch_ends.fetch_add(1);
+  };
+  auto d = make_dispatcher(true, std::move(cfg), [&](ctl::Event e, std::size_t) {
+    std::uint64_t h = std::get<of::PacketIn>(e).packet.trace_tag;
+    for (std::uint64_t i = 0; i < 2'000; ++i) h = mix(h, i);
+    acc.fetch_add(h, std::memory_order_relaxed);
+    log.note(e);
+  });
+  constexpr std::uint64_t kBatches = 60, kPerBatch = 3;
+  for (std::uint64_t b = 0; b < kBatches; ++b) {
+    d->submit_batch(batch_of(1 + b % 6, b * kPerBatch, kPerBatch));
+    // The batch ran here, its boundary hook included, before submit returned.
+    EXPECT_EQ(batch_ends.load(), b + 1);
+  }
+  d->drain();
+
+  for (std::uint64_t tag = 0; tag < kBatches * kPerBatch; ++tag)
+    EXPECT_EQ(log.at(tag), me) << "tag " << tag << " ran on a lane thread";
+  const auto st = d->stats();
+  EXPECT_EQ(st.dispatched, kBatches * kPerBatch);
+  EXPECT_EQ(st.batches, kBatches);
+  EXPECT_EQ(st.inline_batches, st.batches);
+  EXPECT_EQ(st.queue_peak, 0u);
+  EXPECT_EQ(st.latency_us.count(), st.dispatched);
+}
+
+TEST(ShardedDispatcherOneCpu, BlockingSinkMovesToItsLaneThreadAndBack) {
+  ThreadLog log;
+  std::atomic<bool> sleeps{true};
+  auto d = make_dispatcher(true, {.shards = 2}, [&](ctl::Event e, std::size_t) {
+    if (sleeps.load()) std::this_thread::sleep_for(std::chrono::microseconds(200));
+    log.note(e);
+  });
+  auto run_one = [&](std::uint64_t tag) {
+    d->submit_batch(batch_of(1, tag, 1));
+    d->drain();
+    return log.at(tag);
+  };
+  const auto me = std::this_thread::get_id();
+  EXPECT_EQ(run_one(0), me) << "an idle lane with no blocked run runs inline";
+  const auto lane_thread = run_one(1);
+  EXPECT_NE(lane_thread, me) << "the run after a blocked one goes to the lane thread";
+  sleeps.store(false);
+  EXPECT_EQ(run_one(2), lane_thread) << "still queued: the last run blocked";
+  EXPECT_EQ(run_one(3), me) << "the last run did not block: inline again";
+  const auto st = d->stats();
+  EXPECT_EQ(st.batches, 4u);
+  EXPECT_EQ(st.inline_batches, 2u);
+}
+
+TEST(ShardedDispatcherOneCpu, NestedSubmitFromInlineRunIsQueued) {
+  ThreadLog log;
+  ctl::ShardedDispatcher* self = nullptr;
+  // dpid 1 and 2 hash to different lanes of two.
+  ASSERT_NE(ctl::ShardRouter(2).shard_of(DatapathId{1}),
+            ctl::ShardRouter(2).shard_of(DatapathId{2}));
+  auto d = make_dispatcher(true, {.shards = 2}, [&](ctl::Event e, std::size_t) {
+    log.note(e);
+    if (std::get<of::PacketIn>(e).packet.trace_tag == 0) {
+      self->submit_batch(batch_of(1, 100, 2)); // the lane this run holds
+      self->submit_batch(batch_of(2, 200, 2)); // an idle lane
+      // Let the held lane's thread wake, find its lane held and wait again:
+      // only the inline run's release can wake it for tags 100-101.
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  });
+  self = d.get();
+  d->submit_batch(batch_of(1, 0, 1));
+  d->drain();
+
+  const auto me = std::this_thread::get_id();
+  EXPECT_EQ(log.at(0), me);
+  for (const std::uint64_t tag : {100, 101, 200, 201})
+    EXPECT_NE(log.at(tag), me) << "nested tag " << tag << " ran inline";
+  const auto st = d->stats();
+  EXPECT_EQ(st.dispatched, 5u);
+  EXPECT_EQ(st.inline_batches, 1u);
+}
+
+TEST(ShardedDispatcherOneCpu, SubmitNeverRunsInline) {
+  ThreadLog log;
+  auto d = make_dispatcher(true, {.shards = 4},
+                           [&](ctl::Event e, std::size_t) { log.note(e); });
+  const auto me = std::this_thread::get_id();
+  for (std::uint64_t tag = 0; tag < 24; ++tag) {
+    d->submit(ctl::Event{packet_in(1 + tag % 6, 1, tag)});
+    d->drain(); // every lane idle before the next submit
+    EXPECT_NE(log.at(tag), me) << "tag " << tag;
+  }
+  EXPECT_EQ(d->stats().inline_batches, 0u);
+}
+
+TEST(ShardedDispatcherOneCpu, PerSwitchOrderIsPreserved) {
+  per_switch_order_is_preserved(/*one_cpu=*/true, Feed::kMixed);
+}
+
+TEST(ShardedDispatcherOneCpu, BarrierIsTotallyOrderedAgainstLocals) {
+  barrier_is_totally_ordered(/*one_cpu=*/true, Feed::kMixed);
+}
+
+TEST(ShardedDispatcherOneCpu, ReentrantSubmitIsCountedByDrain) {
+  reentrant_submit_is_counted_by_drain(/*one_cpu=*/true, Feed::kMixed);
+}
+
+TEST(ShardedDispatcherOneCpu, SeededBatchSubmitInterleavePreservesOrder) {
+  seeded_batch_interleave(/*one_cpu=*/true);
+}
+
+// Lanes with cores of their own are never serialized onto the submitter.
+TEST(ShardedDispatcher, MoreThanOneCpuNeverRunsInline) {
+  if (usable_cpus() < 2) GTEST_SKIP() << "needs an affinity mask of two or more CPUs";
+  ThreadLog log;
+  auto d = make_dispatcher(false, {.shards = 4},
+                           [&](ctl::Event e, std::size_t) { log.note(e); });
+  const auto me = std::this_thread::get_id();
+  for (std::uint64_t tag = 0; tag < 24; ++tag) {
+    d->submit_batch(batch_of(1 + tag % 6, tag, 1));
+    d->drain();
+    EXPECT_NE(log.at(tag), me) << "tag " << tag;
+  }
+  const auto st = d->stats();
+  EXPECT_EQ(st.batches, 24u);
+  EXPECT_EQ(st.inline_batches, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -485,7 +702,11 @@ struct ChurnFlow {
   of::Packet packet{};
 };
 
-Outcome run_scenario(std::uint64_t seed, std::size_t shards) {
+/// `one_cpu`: build the engine pinned to one CPU and feed every event as a
+/// one-event inject_events() span, so idle lanes run it on this thread.
+/// Adds the run's inline batches to `*inline_batches` when given.
+Outcome run_scenario(std::uint64_t seed, std::size_t shards, bool one_cpu = false,
+                     std::uint64_t* inline_batches = nullptr) {
   auto net = netsim::Network::fat_tree(4); // 20 switches, 16 hosts
   LegoConfig cfg;
   cfg.dispatch.shards = shards;
@@ -500,8 +721,21 @@ Outcome run_scenario(std::uint64_t seed, std::size_t shards) {
   auto recorder = std::make_shared<RecorderApp>(
       "recorder", std::vector<ctl::EventType>{ctl::EventType::kPacketIn});
   c.add_app(recorder); // not cloneable: reached from every lane, serialized
-  EXPECT_TRUE(c.start_system());
+  {
+    std::optional<OneCpuScope> pin;
+    if (one_cpu) pin.emplace();
+    EXPECT_TRUE(c.start_system());
+  }
   c.run(); // switch announcements
+  auto inject = [&](ctl::Event e) {
+    if (one_cpu) {
+      std::vector<ctl::Event> one;
+      one.push_back(std::move(e));
+      c.inject_events(std::move(one));
+    } else {
+      c.inject_event(std::move(e));
+    }
+  };
 
   const auto ids = net->switch_ids();
   Rng rng(seed);
@@ -517,21 +751,21 @@ Outcome run_scenario(std::uint64_t seed, std::size_t shards) {
                                   mac(0x2000 + rng.below(64)),
                                   static_cast<std::uint16_t>(i), i);
       flows.push_back({pin.dpid, pin.in_port, pin.packet});
-      c.inject_event(ctl::Event{pin});
+      inject(ctl::Event{pin});
     } else if (kind < 85) {
-      c.inject_event(ctl::Event{ctl::SwitchDown{ids[rng.below(ids.size())]}});
+      inject(ctl::Event{ctl::SwitchDown{ids[rng.below(ids.size())]}});
     } else if (kind < 90) {
-      c.inject_event(ctl::Event{ctl::SwitchUp{ids[rng.below(ids.size())]}});
+      inject(ctl::Event{ctl::SwitchUp{ids[rng.below(ids.size())]}});
     } else if (kind < 95) {
       const auto& l = net->links()[rng.below(net->links().size())];
-      c.inject_event(ctl::Event{ctl::LinkDown{l.a, l.b}});
+      inject(ctl::Event{ctl::LinkDown{l.a, l.b}});
     } else {
       of::PortStatus ps;
       ps.dpid = ids[rng.below(ids.size())];
       ps.reason = of::PortReason::kModify;
       ps.desc.port = PortNo{static_cast<std::uint16_t>(1 + rng.below(4))};
       ps.desc.link_up = rng.chance(0.5);
-      c.inject_event(ctl::Event{ps});
+      inject(ctl::Event{ps});
     }
   }
   while (c.run() > 0) {
@@ -580,6 +814,8 @@ Outcome run_scenario(std::uint64_t seed, std::size_t shards) {
   out.events_ignored = ls.events_ignored;
   out.txns_committed = ls.txns_committed;
   out.recorder_events = recorder->events.size();
+  if (inline_batches && c.dispatch_engine())
+    *inline_batches += c.dispatch_engine()->stats().inline_batches;
   return out;
 }
 
@@ -635,6 +871,19 @@ TEST(ShardDifferential, SerialAndShardedConverge) {
     EXPECT_EQ(sharded.probe_entries, 4u);
     expect_equal(serial, sharded, seed);
   }
+}
+
+TEST(ShardDifferential, SerialAndShardedConvergeOnOneCpu) {
+  const std::size_t n = diff_seed_count();
+  std::uint64_t inline_batches = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t seed = kBaseSeed + i;
+    const Outcome serial = run_scenario(seed, 1, /*one_cpu=*/true);
+    const Outcome sharded = run_scenario(seed, 4, /*one_cpu=*/true, &inline_batches);
+    EXPECT_EQ(sharded.probe_entries, 4u);
+    expect_equal(serial, sharded, seed);
+  }
+  EXPECT_GT(inline_batches, 0u) << "no batch ran on the injecting thread";
 }
 
 TEST(ShardDifferential, TwoShardsAlsoConverge) {

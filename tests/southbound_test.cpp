@@ -13,8 +13,10 @@
 
 #include <cerrno>
 #include <chrono>
+#include <optional>
 
 #include "apps/learning_switch.hpp"
+#include "common/cpus.hpp"
 #include "helpers.hpp"
 #include "legosdn/lego_controller.hpp"
 #include "scenario/scenario.hpp"
@@ -106,24 +108,13 @@ public:
   /// One complete OF frame, pumping the server while waiting. Empty on
   /// timeout or EOF.
   std::vector<std::uint8_t> recv_frame(OFServer& srv, int ms = 2000) {
-    const auto deadline = steady_clock::now() + milliseconds(ms);
-    for (;;) {
-      if (buf_.size() >= 4) {
-        const std::size_t len = (std::size_t{buf_[2]} << 8) | buf_[3];
-        if (len >= 8 && buf_.size() >= len) {
-          std::vector<std::uint8_t> frame(buf_.begin(),
-                                          buf_.begin() + static_cast<long>(len));
-          buf_.erase(buf_.begin(), buf_.begin() + static_cast<long>(len));
-          return frame;
-        }
-      }
-      if (steady_clock::now() >= deadline) return {};
-      srv.poll(0);
-      std::uint8_t tmp[4096];
-      const ssize_t n = ::recv(fd_, tmp, sizeof(tmp), MSG_DONTWAIT);
-      if (n > 0) buf_.insert(buf_.end(), tmp, tmp + n);
-      if (n == 0) return {};
-    }
+    return recv_frame_from(&srv, ms);
+  }
+
+  /// One complete OF frame that the server has already written: the server
+  /// is not polled while waiting.
+  std::vector<std::uint8_t> recv_written_frame(int ms = 2000) {
+    return recv_frame_from(nullptr, ms);
   }
 
   /// Complete the server-initiated handshake: HELLO in, HELLO out,
@@ -154,6 +145,28 @@ public:
   }
 
 private:
+  /// One complete OF frame; polls `srv` while waiting unless it is null.
+  std::vector<std::uint8_t> recv_frame_from(OFServer* srv, int ms) {
+    const auto deadline = steady_clock::now() + milliseconds(ms);
+    for (;;) {
+      if (buf_.size() >= 4) {
+        const std::size_t len = (std::size_t{buf_[2]} << 8) | buf_[3];
+        if (len >= 8 && buf_.size() >= len) {
+          std::vector<std::uint8_t> frame(buf_.begin(),
+                                          buf_.begin() + static_cast<long>(len));
+          buf_.erase(buf_.begin(), buf_.begin() + static_cast<long>(len));
+          return frame;
+        }
+      }
+      if (steady_clock::now() >= deadline) return {};
+      if (srv) srv->poll(0);
+      std::uint8_t tmp[4096];
+      const ssize_t n = ::recv(fd_, tmp, sizeof(tmp), MSG_DONTWAIT);
+      if (n > 0) buf_.insert(buf_.end(), tmp, tmp + n);
+      if (n == 0) return {};
+    }
+  }
+
   int fd_ = -1;
   bool connected_ = false;
   std::vector<std::uint8_t> buf_;
@@ -403,6 +416,43 @@ TEST(OFServer, CrossThreadSendBurstsCoalesceWakeups) {
       << "wakeups must scale with poll cycles, not with messages";
 }
 
+// A send() made inside the batch callback, on the thread inside poll() (on
+// one CPU, a dispatcher lane's batch run inline there), is written by that
+// same poll() without an eventfd poke; a send() from outside poll() still
+// pokes the loop once.
+TEST(OFServer, SendFromBatchCallbackIsWrittenBySamePollWithoutWakeup) {
+  OFServer server;
+  std::size_t packet_ins = 0;
+  server.set_event_batch([&](std::vector<ctl::Event> evs) {
+    for (const auto& e : evs) {
+      if (const auto* pin = std::get_if<of::PacketIn>(&e)) {
+        ++packet_ins;
+        EXPECT_TRUE(server.send(pin->dpid, {77, of::EchoRequest{5}}));
+      }
+    }
+  });
+  OFServerConfig cfg;
+  cfg.echo_interval_ms = 0;
+  cfg.idle_timeout_ms = 0;
+  ASSERT_TRUE(server.listen(std::move(cfg), [](ctl::Event) {}).ok());
+  RawPeer peer(server.port());
+  ASSERT_TRUE(peer.handshake(server, test_features(13)));
+  const auto base = server.stats();
+
+  ASSERT_TRUE(peer.send_all(wire10::encode({1, sample_packet_in(13, 8080)}), server));
+  const auto deadline = steady_clock::now() + seconds(2);
+  while (packet_ins == 0 && steady_clock::now() < deadline) server.poll(1);
+  ASSERT_EQ(packet_ins, 1u);
+  const auto echo = peer.recv_written_frame(); // no further poll()
+  ASSERT_FALSE(echo.empty()) << "the callback's send waited for a later poll()";
+  EXPECT_EQ(echo[1], 2) << "expected the ECHO_REQUEST the callback sent";
+  EXPECT_EQ(server.stats().wakeups, base.wakeups);
+
+  ASSERT_TRUE(server.send(DatapathId{13}, {78, of::EchoRequest{6}}));
+  EXPECT_EQ(server.stats().wakeups, base.wakeups + 1);
+  EXPECT_FALSE(peer.recv_frame(server).empty());
+}
+
 TEST(OFServer, MalformedLengthDisconnectsAndSlotIsReclaimed) {
   ServerFixture fx;
   {
@@ -592,7 +642,9 @@ TEST(WireSwitchClient, HandshakesAndReceivesDowncalls) {
 // Bridge: sharded dispatch fed from the wire
 // ---------------------------------------------------------------------------
 
-TEST(SouthboundBridge, ShardedDispatcherDrivenFromSockets) {
+/// `one_cpu`: the controller's lanes are built pinned to one CPU, so read
+/// passes run their batches inline on the pumping thread.
+void drive_sharded_bridge(bool one_cpu) {
   auto net = netsim::Network::linear(4, 2);
   ASSERT_NE(net, nullptr);
   lego::LegoConfig cfg;
@@ -606,7 +658,11 @@ TEST(SouthboundBridge, ShardedDispatcherDrivenFromSockets) {
   bridge.set_delivery_gate([l = lego.get()](const std::function<void()>& fn) {
     l->with_txn_write_gate(fn);
   });
-  ASSERT_TRUE(lego->start_system().ok());
+  {
+    std::optional<test::OneCpuScope> pin;
+    if (one_cpu) pin.emplace();
+    ASSERT_TRUE(lego->start_system().ok());
+  }
   bridge.settle();
   EXPECT_EQ(bridge.server().stats().handshakes, 4u);
 
@@ -628,10 +684,24 @@ TEST(SouthboundBridge, ShardedDispatcherDrivenFromSockets) {
   EXPECT_GT(lego->lego_stats().verify_overlays, 0u);
   EXPECT_EQ(bridge.stats().northbound_dropped, 0u);
   EXPECT_EQ(bridge.stats().southbound_dropped, 0u);
+  const auto ds = lego->dispatch_engine()->stats();
+  if (one_cpu) {
+    EXPECT_GT(ds.inline_batches, 0u);
+  } else if (usable_cpus() > 1) {
+    EXPECT_EQ(ds.inline_batches, 0u);
+  }
 
   // Destroy the controller first: its lanes drain while the bridge's server
   // (the southbound hook target) is still alive.
   lego.reset();
+}
+
+TEST(SouthboundBridge, ShardedDispatcherDrivenFromSockets) {
+  drive_sharded_bridge(/*one_cpu=*/false);
+}
+
+TEST(SouthboundBridge, ShardedDispatcherDrivenFromSocketsOnOneCpu) {
+  drive_sharded_bridge(/*one_cpu=*/true);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the hot paths underneath every
 // experiment: wire codec, flow-table operations, event serialization, RPC
-// framing, NetLog undo recording and app-state capture. These are the
-// component costs that compose into the C1/C2/C3 scenario numbers.
+// framing, NetLog undo recording, app-state capture and byzantine
+// verification. These are the component costs that compose into the
+// C1/C2/C3 scenario numbers.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -10,10 +11,13 @@
 #include <vector>
 
 #include "apps/learning_switch.hpp"
+#include "apps/shortest_path_router.hpp"
 #include "appvisor/rpc.hpp"
 #include "bench_util.hpp"
 #include "common/rng.hpp"
+#include "controller/controller.hpp"
 #include "controller/event_codec.hpp"
+#include "invariant/invariant.hpp"
 #include "netlog/netlog.hpp"
 #include "netsim/flow_table.hpp"
 #include "openflow/wire10.hpp"
@@ -177,6 +181,97 @@ void BM_LearningSwitchSnapshot(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 20484);
 }
 BENCHMARK(BM_LearningSwitchSnapshot);
+
+/// fat-tree(4) with a ShortestPathRouter path installed for every ordered
+/// host pair: the tables perfbench's fabric-paths warm-up leaves behind.
+std::unique_ptr<netsim::Network> routed_fat_tree() {
+  auto net = netsim::Network::fat_tree(4);
+  {
+    ctl::Controller c(*net);
+    std::vector<apps::ShortestPathRouter::LinkInfo> links;
+    for (const auto& l : net->links()) links.push_back({l.a, l.b});
+    c.register_app(std::make_shared<apps::ShortestPathRouter>(std::move(links)));
+    c.start();
+    const auto& hosts = net->hosts();
+    auto send = [&](std::size_t s, std::size_t d) {
+      of::Packet p;
+      p.hdr.eth_src = hosts[s].mac;
+      p.hdr.eth_dst = hosts[d].mac;
+      p.hdr.ip_src = hosts[s].ip;
+      p.hdr.ip_dst = hosts[d].ip;
+      p.hdr.tp_dst = 80;
+      net->inject_from_host(hosts[s].mac, p);
+      while (c.run() > 0) {
+      }
+    };
+    while (c.run() > 0) {
+    }
+    for (std::size_t s = 0; s < hosts.size(); ++s) send(s, hosts.size() - 1 - s);
+    for (std::size_t s = 0; s < hosts.size(); ++s)
+      for (std::size_t d = 0; d < hosts.size(); ++d)
+        if (s != d) send(s, d);
+  }
+  net->set_northbound({}); // the controller is gone
+  net->set_switch_state_callback({});
+  return net;
+}
+
+/// The 8 must_reach pairs perfbench's fabric-paths configures.
+invariant::InvariantConfig fabric_pairs(const netsim::Network& net) {
+  invariant::InvariantConfig cfg;
+  const auto& hosts = net.hosts();
+  for (std::size_t i = 0; i < 8; ++i)
+    cfg.must_reach.push_back({hosts[i].mac, hosts[hosts.size() - 1 - i].mac});
+  return cfg;
+}
+
+/// check_flow_mods of one landed path bundle (host 0 -> host 15, one rule
+/// per switch on the path), with every other pair's rules in the tables.
+void BM_VerifyPathBundle(benchmark::State& state) {
+  const auto net = routed_fat_tree();
+  const auto& hosts = net->hosts();
+  const of::Match m = of::Match{}.with_eth_src(hosts[0].mac).with_eth_dst(hosts.back().mac);
+  std::vector<of::FlowMod> bundle;
+  for (const DatapathId d : net->switch_ids()) {
+    for (const auto& e : net->switch_at(d)->table().entries()) {
+      if (e.match != m) continue;
+      of::FlowMod mod;
+      mod.dpid = d;
+      mod.match = e.match;
+      mod.priority = e.priority;
+      mod.actions = e.actions;
+      bundle.push_back(mod);
+    }
+  }
+  const invariant::InvariantChecker checker(*net);
+  const invariant::InvariantConfig cfg = fabric_pairs(*net);
+  if (bundle.empty() || !checker.check_flow_mods(cfg, bundle, false).empty()) {
+    state.SkipWithError("path bundle missing or not clean");
+    return;
+  }
+  for (auto _ : state) {
+    auto v = checker.check_flow_mods(cfg, bundle, false);
+    benchmark::DoNotOptimize(v.data());
+  }
+  state.counters["rules"] = static_cast<double>(bundle.size());
+}
+BENCHMARK(BM_VerifyPathBundle);
+
+/// One full-trace reachability pass over the 8 fabric-paths pairs.
+void BM_ReachabilityPass(benchmark::State& state) {
+  const auto net = routed_fat_tree();
+  const invariant::InvariantChecker checker(*net);
+  const invariant::InvariantConfig cfg = fabric_pairs(*net);
+  if (!checker.check_reachability_only(cfg).empty()) {
+    state.SkipWithError("fabric pairs not reachable");
+    return;
+  }
+  for (auto _ : state) {
+    auto v = checker.check_reachability_only(cfg);
+    benchmark::DoNotOptimize(v.data());
+  }
+}
+BENCHMARK(BM_ReachabilityPass);
 
 } // namespace
 

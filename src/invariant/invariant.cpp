@@ -1,30 +1,36 @@
 #include "invariant/invariant.hpp"
 
 #include <sstream>
-#include <unordered_set>
+
+#include "netsim/hop_set.hpp"
 
 namespace legosdn::invariant {
 namespace {
 
-/// (switch, ingress port, header) identity for symbolic-trace loop
-/// detection. Hashed because every verifying transaction traces from each
-/// rule it wrote and from every reachability pair, so trace() is on the
-/// per-transaction verification hot path.
-struct VisitKey {
-  std::uint64_t dpid = 0;
-  std::uint16_t port = 0;
-  std::uint64_t hdr = 0;
-  bool operator==(const VisitKey&) const = default;
+/// A copy of the probe at a switch ingress, waiting to be walked.
+struct Item {
+  PortLocator at;
+  of::PacketHeader hdr;
+  std::size_t hops;
 };
 
-struct VisitKeyHash {
-  std::size_t operator()(const VisitKey& k) const noexcept {
-    std::uint64_t h = k.dpid * 0x9E3779B97F4A7C15ULL;
-    h ^= (std::uint64_t{k.port} << 48) + 0x517CC1B727220A95ULL + (h << 6) + (h >> 2);
-    h ^= k.hdr + (h << 6) + (h >> 2);
-    return static_cast<std::size_t>(h);
-  }
+/// One trace's working memory. Borrowed per thread (netsim::Scratch):
+/// trace() is a public const method and shard lanes verify concurrently.
+struct TraceScratch {
+  std::vector<Item> work;
+  netsim::HopSet visited;
 };
+
+/// Does the rule read its ingress port when it forwards? Only a flood does
+/// (it skips that port); every other action ignores it.
+bool reads_ingress(const netsim::FlowEntry& e) {
+  for (const auto& a : e.actions)
+    if (const auto* out = std::get_if<of::ActionOutput>(&a))
+      if (out->port == ports::kFlood) return true;
+  return false;
+}
+
+constexpr auto kNoHop = [](PortLocator, const netsim::FlowTable&) {};
 
 } // namespace
 
@@ -66,28 +72,27 @@ of::PacketHeader representative_header(const of::Match& m) {
 
 TraceResult InvariantChecker::trace(PortLocator ingress,
                                     const of::PacketHeader& hdr) const {
-  return trace(ingress, hdr, nullptr);
+  std::vector<PortLocator> path;
+  TraceResult res =
+      walk(ingress, hdr, nullptr,
+           [&path](PortLocator at, const netsim::FlowTable&) { path.push_back(at); });
+  res.path = std::move(path);
+  return res;
 }
 
-TraceResult InvariantChecker::trace(PortLocator ingress, const of::PacketHeader& hdr0,
-                                    const Overlay* overlay) const {
+template <class OnHop>
+TraceResult InvariantChecker::walk(PortLocator ingress, const of::PacketHeader& hdr0,
+                                   const Overlay* overlay, OnHop&& on_hop) const {
   TraceResult res;
-  // Work item: a copy of the packet at a switch ingress. Floods fan out;
+  // Work items are copies of the packet at a switch ingress. Floods fan out;
   // the trace reports the *worst* outcome across all copies, where
   // loop > dead-end > drop-rule > miss > delivered.
-  struct Item {
-    PortLocator at;
-    of::PacketHeader hdr;
-    std::size_t hops;
-  };
-  std::vector<Item> work{{ingress, hdr0, 0}};
-  std::unordered_set<VisitKey, VisitKeyHash> visited;
-  auto digest = [](const of::PacketHeader& h) {
-    return h.eth_src.to_uint64() ^ (h.eth_dst.to_uint64() << 1) ^
-           (std::uint64_t{h.ip_src.addr} << 16) ^ h.ip_dst.addr ^
-           (std::uint64_t{h.tp_src} << 32) ^ (std::uint64_t{h.tp_dst} << 48) ^
-           h.ip_proto ^ (std::uint64_t{h.eth_type} << 8);
-  };
+  netsim::Scratch<TraceScratch> scratch;
+  std::vector<Item>& work = scratch->work;
+  netsim::HopSet& visited = scratch->visited;
+  work.clear();
+  visited.clear();
+  work.push_back({ingress, hdr0, 0});
   auto worse = [](TraceOutcome a, TraceOutcome b) {
     auto rank = [](TraceOutcome o) {
       switch (o) {
@@ -105,7 +110,7 @@ TraceResult InvariantChecker::trace(PortLocator ingress, const of::PacketHeader&
   TraceOutcome acc = TraceOutcome::kDelivered;
 
   while (!work.empty()) {
-    Item it = std::move(work.back());
+    const Item it = work.back();
     work.pop_back();
     if (it.hops > kHopLimit) {
       acc = worse(acc, TraceOutcome::kLooped);
@@ -119,16 +124,15 @@ TraceResult InvariantChecker::trace(PortLocator ingress, const of::PacketHeader&
       any = true;
       continue;
     }
-    if (!visited.insert(VisitKey{raw(it.at.dpid), raw(it.at.port), digest(it.hdr)})
-             .second) {
+    if (!visited.insert(netsim::HopKey(it.at.dpid, it.at.port, it.hdr))) {
       acc = worse(acc, TraceOutcome::kLooped);
       res.last_switch = it.at.dpid;
       any = true;
       continue;
     }
-    res.path.push_back(it.at);
-    const netsim::FlowEntry* e =
-        table_of(overlay, it.at.dpid, *sw).peek(it.at.port, it.hdr);
+    const netsim::FlowTable& table = table_of(overlay, it.at.dpid, *sw);
+    on_hop(it.at, table);
+    const netsim::FlowEntry* e = table.peek(it.at.port, it.hdr);
     if (!e) {
       acc = worse(acc, TraceOutcome::kMiss);
       res.last_switch = it.at.dpid;
@@ -222,31 +226,38 @@ void InvariantChecker::check_entry(const InvariantConfig& cfg, DatapathId dpid,
                                    const Overlay* overlay,
                                    std::vector<Violation>& out) const {
   const of::PacketHeader hdr = representative_header(e.match);
-  // Determine candidate ingress ports for this rule.
-  std::vector<PortNo> ingresses;
-  if (!e.match.wildcarded(of::kWcInPort)) {
-    ingresses.push_back(e.match.in_port);
-  } else {
-    for (const auto& [no, sp] : sw.ports())
-      if (sp.desc.link_up) ingresses.push_back(no);
-  }
-  for (const PortNo in : ingresses) {
+  const netsim::FlowTable& table = table_of(overlay, dpid, sw);
+  // Past its first hop, a walk depends on the ingress only if the rule's
+  // actions do, and only a flood's do. Any other rule sends the same copies
+  // on from every ingress where it wins, and a copy that comes back to any
+  // such ingress re-enters that same walk, so each of them gives the same
+  // loop and dead-end verdict: the first is traced, the rest would repeat
+  // it. Returns true once the rule needs no more traces.
+  const bool per_ingress = reads_ingress(e);
+  auto check_from = [&](PortNo in) {
     // Only trace if this entry is actually the winner for the header.
-    if (table_of(overlay, dpid, sw).peek(in, hdr) != &e) continue;
-    const TraceResult tr = trace({dpid, in}, hdr, overlay);
+    if (table.peek(in, hdr) != &e) return false;
+    const TraceResult tr = walk({dpid, in}, hdr, overlay, kNoHop);
     if (cfg.check_loops && tr.outcome == TraceOutcome::kLooped) {
       out.push_back({InvariantKind::kNoLoops, tr.last_switch,
                      "rule " + e.match.to_string() + " at s" +
                          std::to_string(raw(dpid)) + " forwards in a cycle"});
-      return; // one report per rule is enough
+      return true; // one report per rule is enough
     }
     if (cfg.check_black_holes && tr.outcome == TraceOutcome::kDeadEnd) {
       out.push_back({InvariantKind::kNoBlackHoles, tr.last_switch,
                      "rule " + e.match.to_string() + " at s" +
                          std::to_string(raw(dpid)) + " forwards into a dead port"});
-      return;
+      return true;
     }
+    return !per_ingress;
+  };
+  if (!e.match.wildcarded(of::kWcInPort)) {
+    check_from(e.match.in_port);
+    return;
   }
+  for (const auto& [no, sp] : sw.ports())
+    if (sp.desc.link_up && check_from(no)) return;
 }
 
 void InvariantChecker::check_rules(const InvariantConfig& cfg,
@@ -315,6 +326,42 @@ std::vector<Violation> InvariantChecker::check_flow_mods(
   return out;
 }
 
+template <class OnHop>
+std::optional<Violation> InvariantChecker::reach(const ReachabilitySpec& spec,
+                                                 OnHop&& on_hop) const {
+  const netsim::Host* src = net_.host_by_mac(spec.src);
+  const netsim::Host* dst = net_.host_by_mac(spec.dst);
+  if (!src || !dst) {
+    return Violation{InvariantKind::kReachability, DatapathId{0},
+                     "reachability spec references unknown host"};
+  }
+  of::PacketHeader hdr;
+  hdr.eth_src = src->mac;
+  hdr.eth_dst = dst->mac;
+  hdr.eth_type = of::kEthTypeIpv4;
+  hdr.ip_src = src->ip;
+  hdr.ip_dst = dst->ip;
+  hdr.ip_proto = of::kIpProtoTcp;
+  hdr.tp_src = 10000;
+  hdr.tp_dst = 80;
+  const TraceResult tr = walk(src->attach, hdr, nullptr, on_hop);
+  // A miss means the controller still gets a say, so it is not a violation.
+  // Delivery by any copy satisfies the pair even if sibling flood copies
+  // died on empty ports. Otherwise loops, black-holes and drops count.
+  if (tr.delivered_any ||
+      (tr.outcome != TraceOutcome::kLooped && tr.outcome != TraceOutcome::kDeadEnd &&
+       tr.outcome != TraceOutcome::kDropRule))
+    return std::nullopt;
+  std::ostringstream os;
+  os << spec.src.to_string() << " -> " << spec.dst.to_string()
+     << " broken (outcome="
+     << (tr.outcome == TraceOutcome::kLooped     ? "loop"
+         : tr.outcome == TraceOutcome::kDeadEnd ? "black-hole"
+                                                : "drop-rule")
+     << ")";
+  return Violation{InvariantKind::kReachability, tr.last_switch, os.str()};
+}
+
 std::vector<Violation> InvariantChecker::check_reachability_only(
     const InvariantConfig& cfg) const {
   std::vector<Violation> out;
@@ -322,42 +369,47 @@ std::vector<Violation> InvariantChecker::check_reachability_only(
   return out;
 }
 
+bool ReachabilityMemo::Pair::fresh(const ReachabilitySpec& s,
+                                   std::uint64_t topo) const noexcept {
+  if (!valid || s.src != spec.src || s.dst != spec.dst || topo != topology)
+    return false;
+  for (const auto& [table, gen] : tables)
+    if (table->generation() != gen) return false;
+  return true;
+}
+
+std::vector<Violation> InvariantChecker::check_reachability_only(
+    const InvariantConfig& cfg, ReachabilityMemo& memo) const {
+  std::vector<Violation> out;
+  if (cfg.must_reach.empty()) return out;
+  const std::uint64_t topology = net_.topology_generation();
+  memo.pairs_.resize(cfg.must_reach.size());
+  for (std::size_t i = 0; i < cfg.must_reach.size(); ++i) {
+    const ReachabilitySpec& spec = cfg.must_reach[i];
+    ReachabilityMemo::Pair& pair = memo.pairs_[i];
+    if (pair.fresh(spec, topology)) {
+      memo.stats_.hits += 1;
+    } else {
+      memo.stats_.retraces += 1;
+      pair.valid = true;
+      pair.spec = spec;
+      pair.topology = topology;
+      pair.tables.clear();
+      pair.violation = reach(spec, [&pair](PortLocator, const netsim::FlowTable& t) {
+        for (const auto& [seen, _] : pair.tables)
+          if (seen == &t) return;
+        pair.tables.emplace_back(&t, t.generation());
+      });
+    }
+    if (pair.violation) out.push_back(*pair.violation);
+  }
+  return out;
+}
+
 void InvariantChecker::check_reachability(const InvariantConfig& cfg,
                                           std::vector<Violation>& out) const {
-  for (const auto& spec : cfg.must_reach) {
-    const netsim::Host* src = net_.host_by_mac(spec.src);
-    const netsim::Host* dst = net_.host_by_mac(spec.dst);
-    if (!src || !dst) {
-      out.push_back({InvariantKind::kReachability, DatapathId{0},
-                     "reachability spec references unknown host"});
-      continue;
-    }
-    of::PacketHeader hdr;
-    hdr.eth_src = src->mac;
-    hdr.eth_dst = dst->mac;
-    hdr.eth_type = of::kEthTypeIpv4;
-    hdr.ip_src = src->ip;
-    hdr.ip_dst = dst->ip;
-    hdr.ip_proto = of::kIpProtoTcp;
-    hdr.tp_src = 10000;
-    hdr.tp_dst = 80;
-    const TraceResult tr = trace(src->attach, hdr);
-    // A miss means the controller still gets a say, so it is not a violation.
-    // Delivery by any copy satisfies the pair even if sibling flood copies
-    // died on empty ports. Otherwise loops, black-holes and drops count.
-    if (!tr.delivered_any &&
-        (tr.outcome == TraceOutcome::kLooped || tr.outcome == TraceOutcome::kDeadEnd ||
-         tr.outcome == TraceOutcome::kDropRule)) {
-      std::ostringstream os;
-      os << spec.src.to_string() << " -> " << spec.dst.to_string()
-         << " broken (outcome="
-         << (tr.outcome == TraceOutcome::kLooped     ? "loop"
-             : tr.outcome == TraceOutcome::kDeadEnd ? "black-hole"
-                                                    : "drop-rule")
-         << ")";
-      out.push_back({InvariantKind::kReachability, tr.last_switch, os.str()});
-    }
-  }
+  for (const auto& spec : cfg.must_reach)
+    if (auto v = reach(spec, kNoHop)) out.push_back(std::move(*v));
 }
 
 std::vector<Violation> InvariantChecker::check(const InvariantConfig& cfg) const {

@@ -8,9 +8,11 @@
 // reachability violations.
 #pragma once
 
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "netsim/network.hpp"
@@ -39,7 +41,7 @@ enum class TraceOutcome {
   kMiss,      ///< table miss (would punt to controller — not a violation)
   kDropRule,  ///< matched an explicit drop rule
   kDeadEnd,   ///< forwarded into a down link / dangling port (black-hole)
-  kLooped,    ///< revisited a (switch, port) with the same header
+  kLooped,    ///< revisited a (switch, port) with the same full header
 };
 
 struct TraceResult {
@@ -64,11 +66,45 @@ struct InvariantConfig {
   std::vector<ReachabilitySpec> must_reach;
 };
 
+/// Each must_reach pair's last verdict, kept between reachability passes
+/// together with what its trace read: the flow tables it peeked, each with
+/// its FlowTable::generation(), and Network::topology_generation(). A
+/// trace is a deterministic function of exactly those, so a pair whose
+/// inputs have not moved keeps its verdict and is not traced again. Use a
+/// memo with one checker (its table pointers belong to that network), and
+/// from one thread at a time.
+class ReachabilityMemo {
+public:
+  struct Stats {
+    std::uint64_t hits = 0;     ///< pair checks answered from the memo
+    std::uint64_t retraces = 0; ///< pair checks that traced
+  };
+  const Stats& stats() const noexcept { return stats_; }
+
+private:
+  friend class InvariantChecker;
+
+  struct Pair {
+    bool valid = false;
+    ReachabilitySpec spec{};
+    std::uint64_t topology = 0;
+    /// Distinct tables the trace peeked, with their generations then.
+    std::vector<std::pair<const netsim::FlowTable*, std::uint64_t>> tables;
+    std::optional<Violation> violation;
+
+    bool fresh(const ReachabilitySpec& s, std::uint64_t topo) const noexcept;
+  };
+
+  std::vector<Pair> pairs_;
+  Stats stats_;
+};
+
 class InvariantChecker {
 public:
   explicit InvariantChecker(const netsim::Network& net) : net_(net) {}
 
   /// Symbolically forward a header from a switch port using peek() lookups.
+  /// Thread-safe against other traces: each thread walks in its own scratch.
   TraceResult trace(PortLocator ingress, const of::PacketHeader& hdr) const;
 
   /// Run all configured checks over the currently installed rules.
@@ -80,8 +116,11 @@ public:
   /// tracing from those rules finds it; a new black-hole can only be one of
   /// those rules; and reachability (which old rules can lose through
   /// shadowing) is covered by the caller's global reachability diff.
-  /// Pre-existing violations are never attributed. Traces walk the whole
-  /// network from each written rule.
+  /// Pre-existing violations are never attributed. A written rule is traced
+  /// from the first ingress port where it wins, and a flood rule from every
+  /// such port (DESIGN.md §4.4): past the first hop only a flood reads the
+  /// ingress, so any other rule gets the same verdict from each of them.
+  /// At most one violation is reported per rule.
   ///
   /// `pending` says whether the mods may still be missing from the live
   /// tables (delay-buffer NetLog holds the bundle until commit; wire frames
@@ -93,8 +132,16 @@ public:
                                          std::span<const of::FlowMod> mods,
                                          bool pending) const;
 
-  /// Reachability-only check (used as the cheap pre-transaction baseline).
+  /// Reachability-only check that traces every must_reach pair afresh.
+  /// Verification uses the memo overload; this one is its oracle.
   std::vector<Violation> check_reachability_only(const InvariantConfig& cfg) const;
+
+  /// The same violations, in the same order, as the full pass above, but
+  /// a pair is traced again only when `memo` says an input of its last trace
+  /// has changed. Does nothing, and touches no generation, when
+  /// cfg.must_reach is empty.
+  std::vector<Violation> check_reachability_only(const InvariantConfig& cfg,
+                                                 ReachabilityMemo& memo) const;
 
   /// Convenience: loops + black-holes with no reachability specs.
   std::vector<Violation> check_basic() const { return check(InvariantConfig{}); }
@@ -104,8 +151,15 @@ private:
   /// applied on top; switches absent from it are read live.
   using Overlay = std::unordered_map<DatapathId, netsim::FlowTable>;
 
-  TraceResult trace(PortLocator ingress, const of::PacketHeader& hdr,
-                    const Overlay* overlay) const;
+  /// The symbolic walk behind every trace. Calls on_hop(at, table) at each
+  /// switch ingress whose table it peeks, in visit order; path and memo
+  /// recording live there, so the other callers record nothing.
+  template <class OnHop>
+  TraceResult walk(PortLocator ingress, const of::PacketHeader& hdr,
+                   const Overlay* overlay, OnHop&& on_hop) const;
+  /// One must_reach pair's verdict over the live tables.
+  template <class OnHop>
+  std::optional<Violation> reach(const ReachabilitySpec& spec, OnHop&& on_hop) const;
   void check_rules(const InvariantConfig& cfg, std::vector<Violation>& out) const;
   void check_entry(const InvariantConfig& cfg, DatapathId dpid,
                    const netsim::SimSwitch& sw, const netsim::FlowEntry& e,

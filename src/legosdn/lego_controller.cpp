@@ -158,7 +158,9 @@ bool LegoController::apply_transaction(appvisor::AppEntry& entry,
   // VeriFlow, verification is incremental: loops and black-holes are traced
   // from exactly the rules this transaction wrote (new by construction), and
   // only reachability, which old rules can lose through shadowing, is
-  // diffed against a pre-transaction baseline.
+  // diffed against a pre-transaction baseline. Both reachability passes go
+  // through reach_memo_, which re-traces only the pairs whose tables or
+  // topology changed since it last saw them (DESIGN.md §4.4).
   std::set<std::string> baseline;
   std::vector<of::FlowMod> written;
   const bool verify = cfg_.byzantine_detection && has_state_change;
@@ -189,9 +191,11 @@ bool LegoController::apply_transaction(appvisor::AppEntry& entry,
     for (const auto& msg : emitted) {
       if (const auto* mod = msg.get_if<of::FlowMod>()) written.push_back(*mod);
     }
-    // Cheap global baseline: only reachability can regress through rules the
-    // transaction did not write (shadowing), so only it needs diffing.
-    for (const auto& v : checker_.check_reachability_only(cfg_.invariants))
+    // Only reachability can regress through rules the transaction did not
+    // write (shadowing), so only it needs a baseline. Unless something
+    // changed since the previous verifying transaction's post-check, every
+    // pair is answered from the memo without a trace.
+    for (const auto& v : checker_.check_reachability_only(cfg_.invariants, reach_memo_))
       baseline.insert(v.to_string());
   }
 
@@ -225,7 +229,7 @@ bool LegoController::apply_transaction(appvisor::AppEntry& entry,
       if (!detail.empty()) detail += "; ";
       detail += v.to_string();
     }
-    for (const auto& v : checker_.check_reachability_only(cfg_.invariants)) {
+    for (const auto& v : checker_.check_reachability_only(cfg_.invariants, reach_memo_)) {
       const std::string s = v.to_string();
       if (baseline.contains(s)) continue;
       if (!detail.empty()) detail += "; ";

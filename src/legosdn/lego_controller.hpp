@@ -297,6 +297,10 @@ private:
   crashpad::EventTransformer transformer_;
   crashpad::TicketLog tickets_;
   invariant::InvariantChecker checker_;
+  /// Reachability verdicts shared by the baseline and the post-check of
+  /// every verifying transaction. Read and written only under the exclusive
+  /// side of txn_rw_.
+  invariant::ReachabilityMemo reach_memo_;
   /// Guards lego_stats_, the Controller::Stats counters this class touches,
   /// and per_app_ *values* are entry-pinned so need no lock of their own
   /// (the map structure is frozen after registration).

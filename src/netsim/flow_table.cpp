@@ -237,14 +237,19 @@ FlowTable::Meta FlowTable::compute_meta(const FlowEntry& e) {
 
 // --- digest and index maintenance ------------------------------------------
 
+// Every structural change adds or removes an entry's digest term, so these
+// two (with clear and rebuild_all) are where the generation moves. Counter
+// touches swap the term in place and leave it alone.
 void FlowTable::digest_add(const Meta& m) noexcept {
   digest_acc_ ^= m.full_hash;
   logical_acc_ ^= m.logical_hash;
+  ++generation_;
 }
 
 void FlowTable::digest_remove(const Meta& m) noexcept {
   digest_acc_ ^= m.full_hash;
   logical_acc_ ^= m.logical_hash;
+  ++generation_;
 }
 
 bool FlowTable::beats(std::uint32_t a, std::uint32_t b) const noexcept {
@@ -413,6 +418,7 @@ void FlowTable::reindex() {
 void FlowTable::rebuild_all() {
   digest_acc_ = 0x12345678ABCDEF01ULL;
   logical_acc_ = 0;
+  ++generation_; // even when the snapshot is empty
   heap_.clear();
   meta_.resize(entries_.size());
   for (std::uint32_t pos = 0; pos < entries_.size(); ++pos) {
@@ -436,6 +442,7 @@ void FlowTable::clear() noexcept {
   heap_.clear();
   digest_acc_ = 0x12345678ABCDEF01ULL;
   logical_acc_ = 0;
+  ++generation_;
 }
 
 void FlowTable::restore_snapshot(std::vector<FlowEntry> snap) {

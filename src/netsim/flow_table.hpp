@@ -151,6 +151,13 @@ public:
   /// suits cheap pre/post-transaction comparison. Also O(1).
   std::uint64_t logical_digest() const noexcept { return logical_acc_; }
 
+  /// Bumped by every structural change: add (an identical re-add too, since
+  /// it takes a new insertion seq), modify, delete, expiry, restore,
+  /// restore_snapshot and clear. Never by peek(), match_packet() or other
+  /// counter updates. A walk that peeked this table may reuse its result
+  /// for as long as this has not changed.
+  std::uint64_t generation() const noexcept { return generation_; }
+
 private:
   static constexpr std::int64_t kNeverExpires = kNoDeadline;
   static constexpr std::uint32_t kNpos = 0xFFFFFFFFu;
@@ -282,6 +289,7 @@ private:
 
   std::uint64_t digest_acc_ = 0x12345678ABCDEF01ULL; ///< seed of empty table
   std::uint64_t logical_acc_ = 0;
+  std::uint64_t generation_ = 0;
 };
 
 } // namespace legosdn::netsim

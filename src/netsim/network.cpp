@@ -2,31 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_set>
 
 #include "common/log.hpp"
+#include "netsim/hop_set.hpp"
 
 namespace legosdn::netsim {
 namespace {
-
-/// (switch, ingress port, header) identity for dataplane loop detection.
-/// Hashed (not ordered) because forward() is the hot path: flood fan-outs
-/// insert one of these per copy per hop.
-struct VisitKey {
-  std::uint64_t dpid = 0;
-  std::uint16_t port = 0;
-  std::uint64_t hdr = 0;
-  bool operator==(const VisitKey&) const = default;
-};
-
-struct VisitKeyHash {
-  std::size_t operator()(const VisitKey& k) const noexcept {
-    std::uint64_t h = k.dpid * 0x9E3779B97F4A7C15ULL;
-    h ^= (std::uint64_t{k.port} << 48) + 0x517CC1B727220A95ULL + (h << 6) + (h >> 2);
-    h ^= k.hdr + (h << 6) + (h >> 2);
-    return static_cast<std::size_t>(h);
-  }
-};
 
 /// Apply a header-rewriting action to a packet copy.
 void apply_set_field(const of::Action& a, of::Packet& pkt) {
@@ -50,21 +31,13 @@ void apply_set_field(const of::Action& a, of::Packet& pkt) {
       a);
 }
 
-std::uint64_t header_digest(const of::PacketHeader& h) {
-  std::uint64_t x = h.eth_src.to_uint64() * 0x9E3779B97F4A7C15ULL;
-  x ^= h.eth_dst.to_uint64() + 0x517CC1B727220A95ULL;
-  x ^= (std::uint64_t{h.eth_type} << 48) ^ (std::uint64_t{h.ip_src.addr} << 16) ^
-       h.ip_dst.addr;
-  x ^= (std::uint64_t{h.ip_proto} << 40) ^ (std::uint64_t{h.tp_src} << 20) ^ h.tp_dst;
-  return x;
-}
-
 } // namespace
 
 SimSwitch& Network::add_switch(DatapathId dpid, std::size_t n_ports) {
   auto [it, inserted] = switches_.try_emplace(dpid, std::make_unique<SimSwitch>(dpid));
   assert(inserted && "duplicate dpid");
   for (std::size_t i = 1; i <= n_ports; ++i) it->second->add_port(PortNo{static_cast<std::uint16_t>(i)});
+  ++generation_;
   return *it->second;
 }
 
@@ -74,6 +47,7 @@ void Network::add_link(PortLocator x, PortLocator y) {
   links_.push_back({x, y, true});
   link_index_[x] = links_.size() - 1;
   link_index_[y] = links_.size() - 1;
+  ++generation_;
 }
 
 Host& Network::add_host(MacAddress mac, IpV4 ip, PortLocator attach) {
@@ -81,6 +55,7 @@ Host& Network::add_host(MacAddress mac, IpV4 ip, PortLocator attach) {
   hosts_.push_back({mac, ip, attach, 0, 0});
   host_index_[attach] = hosts_.size() - 1;
   mac_index_[mac] = hosts_.size() - 1;
+  ++generation_;
   return hosts_.back();
 }
 
@@ -127,6 +102,12 @@ const Host* Network::host_at(const PortLocator& loc) const {
 bool Network::link_up(const PortLocator& loc) const {
   auto it = link_index_.find(loc);
   return it != link_index_.end() && links_[it->second].up;
+}
+
+std::uint64_t Network::topology_generation() const noexcept {
+  std::uint64_t g = generation_;
+  for (const auto& [_, sw] : switches_) g += sw->generation();
+  return g;
 }
 
 Link* Network::find_link(const PortLocator& end) {
@@ -295,7 +276,8 @@ DeliveryResult Network::forward(Segment seed) {
   DeliveryResult res;
   std::vector<Segment> work;
   work.push_back(std::move(seed));
-  std::unordered_set<VisitKey, VisitKeyHash> visited;
+  Scratch<HopSet> visited;
+  visited->clear();
   std::size_t copies = 0;
 
   while (!work.empty()) {
@@ -312,8 +294,7 @@ DeliveryResult Network::forward(Segment seed) {
     }
     // Loop detection: the same header entering the same port twice means the
     // rules cycle (learning floods revisit switches but on different ports).
-    const VisitKey key{raw(seg.dpid), raw(seg.in_port), header_digest(seg.pkt.hdr)};
-    if (!visited.insert(key).second) {
+    if (!visited->insert(HopKey(seg.dpid, seg.in_port, seg.pkt.hdr))) {
       res.looped = true;
       res.drops += 1;
       continue;
@@ -361,6 +342,7 @@ void Network::emit_port_status(const PortLocator& loc, bool up) {
   SwitchPort* sp = sw->port(loc.port);
   if (!sp) return;
   sp->desc.link_up = up;
+  ++generation_;
   of::PortStatus ps;
   ps.dpid = loc.dpid;
   ps.reason = of::PortReason::kModify;
@@ -379,6 +361,7 @@ bool Network::reconcile_link(Link& l) {
   const bool eff = link_should_be_up(l);
   if (l.up == eff) return false;
   l.up = eff;
+  ++generation_;
   for (const PortLocator& end : {l.a, l.b}) {
     SimSwitch* sw = switch_at(end.dpid);
     if (!sw) continue;

@@ -11,7 +11,8 @@
 //
 // Dataplane: inject() walks a packet through the network hop by hop,
 // applying flow tables, header-rewriting actions, floods and controller
-// punts, with loop detection via a hop cap and a visited-set.
+// punts, with loop detection via a hop cap and an exact visited set
+// (hop_set.hpp).
 #pragma once
 
 #include <functional>
@@ -113,6 +114,14 @@ public:
   const Host* host_at(const PortLocator& loc) const;
   bool link_up(const PortLocator& loc) const;
 
+  /// Changes whenever anything a walk reads besides the flow tables
+  /// changes: which switches exist, their liveness and ports, port link
+  /// state, links and host attachments. It is this network's own counter
+  /// plus every switch's SimSwitch::generation(), so a change made directly
+  /// on a switch counts too. Each counter only grows, so an equal value
+  /// means none of them moved.
+  std::uint64_t topology_generation() const noexcept;
+
   SimClock& clock() noexcept { return clock_; }
   SimTime now() const noexcept { return clock_.now(); }
 
@@ -204,6 +213,9 @@ private:
   NorthboundFn northbound_;
   SwitchStateFn switch_state_;
   Totals totals_;
+  /// Bumped by add_switch/add_link/add_host and by every link or port
+  /// link-state change (reconcile_link, emit_port_status).
+  std::uint64_t generation_ = 0;
 
   /// Guards the expiry heap + armed map. Sharded dispatch commits flow-mods
   /// to *different* switches concurrently (each under its own NetLog stripe),

@@ -14,6 +14,7 @@ void SimSwitch::add_port(PortNo port, std::string name) {
                     : std::move(name);
   p.desc.link_up = true;
   ports_[port] = std::move(p);
+  ++generation_;
 }
 
 SwitchPort* SimSwitch::port(PortNo p) {
@@ -180,6 +181,7 @@ std::optional<std::pair<PortNo, of::Packet>> SimSwitch::take_buffered(std::uint3
 }
 
 void SimSwitch::cold_restart() {
+  ++generation_;
   table_.clear();
   buffers_.clear();
   next_buffer_id_ = 1;

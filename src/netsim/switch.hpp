@@ -39,7 +39,14 @@ public:
   std::vector<PortNo> port_numbers() const;
 
   bool up() const noexcept { return up_; }
-  void set_up(bool up) noexcept { up_ = up; }
+  void set_up(bool up) noexcept {
+    up_ = up;
+    ++generation_;
+  }
+
+  /// Bumped when liveness or the port set changes (set_up, add_port,
+  /// cold_restart). Network::topology_generation() sums it over switches.
+  std::uint64_t generation() const noexcept { return generation_; }
 
   FlowTable& table() noexcept { return table_; }
   const FlowTable& table() const noexcept { return table_; }
@@ -74,6 +81,7 @@ private:
   FlowTable table_;
   std::map<std::uint32_t, std::pair<PortNo, of::Packet>> buffers_;
   std::uint32_t next_buffer_id_ = 1;
+  std::uint64_t generation_ = 0;
 };
 
 } // namespace legosdn::netsim

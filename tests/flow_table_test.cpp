@@ -246,6 +246,81 @@ TEST(FlowTable, SnapshotRestoreIsIdentity) {
   EXPECT_EQ(t.digest(), digest);
 }
 
+// generation() is what lets the invariant checker reuse a reachability
+// trace: it must move on every change a lookup can see, and on nothing else.
+TEST(FlowTable, GenerationMovesOnEveryStructuralChange) {
+  FlowTable t;
+  std::uint64_t last = t.generation();
+  auto moved = [&t, &last](const char* what) {
+    EXPECT_NE(t.generation(), last) << what;
+    last = t.generation();
+  };
+  const of::FlowMod a = add_rule(of::Match{}.with_tp_dst(80), 50, PortNo{1}, /*idle=*/5);
+  t.apply(a, kSimStart);
+  moved("add");
+  // An identical re-add takes a new insertion seq, which can flip a tie.
+  t.apply(a, kSimStart);
+  moved("identical re-add");
+  of::FlowMod mod = a;
+  mod.command = of::FlowModCommand::kModifyStrict;
+  mod.actions = of::output_to(PortNo{2});
+  t.apply(mod, kSimStart);
+  moved("modify-strict");
+  mod.command = of::FlowModCommand::kModify;
+  mod.match = of::Match::any();
+  mod.actions = of::output_to(PortNo{3});
+  t.apply(mod, kSimStart);
+  moved("modify");
+  const FlowEntry saved = t.entries()[0];
+  of::FlowMod del;
+  del.command = of::FlowModCommand::kDeleteStrict;
+  del.match = a.match;
+  del.priority = a.priority;
+  t.apply(del, kSimStart);
+  moved("delete-strict");
+  t.restore(saved);
+  moved("restore");
+  del.command = of::FlowModCommand::kDelete;
+  del.match = of::Match::any();
+  t.apply(del, kSimStart);
+  moved("delete");
+  t.restore(saved);
+  moved("restore");
+  ASSERT_EQ(t.expire(from_ms(5'000)).size(), 1u);
+  moved("expiry");
+  const auto snap = t.snapshot(); // empty
+  t.apply(a, kSimStart);
+  moved("add");
+  t.restore_snapshot(snap);
+  moved("restore_snapshot");
+  t.restore_snapshot(snap); // empty into empty still rebuilds
+  moved("restore_snapshot of an empty table");
+  t.apply(a, kSimStart);
+  moved("add");
+  t.clear();
+  moved("clear");
+}
+
+TEST(FlowTable, GenerationIgnoresLookupsAndCounters) {
+  FlowTable t;
+  const MacAddress dst = MacAddress::from_uint64(5);
+  t.apply(add_rule(of::Match{}.with_eth_dst(dst), 50, PortNo{1}, /*idle=*/5), kSimStart);
+  const std::uint64_t gen = t.generation();
+  EXPECT_NE(t.peek(PortNo{1}, header_to(dst)), nullptr);
+  EXPECT_EQ(t.peek(PortNo{1}, header_to(MacAddress::from_uint64(6))), nullptr);
+  EXPECT_NE(t.match_packet(PortNo{1}, header_to(dst), 64, from_ms(4'000)), nullptr);
+  EXPECT_EQ(t.match_packet(PortNo{1}, header_to(MacAddress::from_uint64(6)), 64,
+                           from_ms(4'000)),
+            nullptr);
+  // Traffic refreshed the idle clock, so this expiry only re-arms.
+  EXPECT_TRUE(t.expire(from_ms(5'000)).empty());
+  of::FlowMod miss;
+  miss.command = of::FlowModCommand::kDeleteStrict;
+  miss.match = of::Match{}.with_tp_dst(9);
+  t.apply(miss, kSimStart); // deletes nothing
+  EXPECT_EQ(t.generation(), gen);
+}
+
 // Property sweep: applying random flow-mods never corrupts invariants
 // (no duplicate strict identities; lookups agree with manual scan).
 class FlowTableFuzz : public ::testing::TestWithParam<std::uint64_t> {};

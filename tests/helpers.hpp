@@ -40,6 +40,51 @@ inline of::Packet host_packet(const netsim::Network& net, std::size_t src_idx,
   return p;
 }
 
+/// A packet that re-enters the port it came in on with a rewritten header,
+/// then is delivered. Switches s1 and s2 are linked on port 2, with a host
+/// on port 1 of each. s2 sends ip_dst B back to s1 and ip_dst B^0x10000 to
+/// its host; s1 rewrites (ip_src A, ip_dst B) to (A^1, B^0x10000) and sends
+/// it back to s2. `pkt` is (A, B) arriving at s2 port 2 (`ingress`). Both
+/// of its visits there have the same 64-bit XOR of header fields, so loop
+/// detection keyed by such a digest calls the delivery a loop.
+struct RewriteEcho {
+  std::unique_ptr<netsim::Network> net;
+  PortLocator ingress{};
+  of::Packet pkt{};
+  MacAddress receiver{}; ///< the host on s2 port 1
+};
+
+inline RewriteEcho rewrite_echo() {
+  RewriteEcho r;
+  r.net = std::make_unique<netsim::Network>();
+  const DatapathId s1{1}, s2{2};
+  r.net->add_switch(s1, 2);
+  r.net->add_switch(s2, 2);
+  r.net->add_link({s1, PortNo{2}}, {s2, PortNo{2}});
+  const IpV4 a{0x0A000001}, b{0x0A000002}, b2{b.addr ^ 0x10000};
+  r.receiver = mac(0x0A0000000002ULL);
+  r.net->add_host(mac(0x0A0000000001ULL), a, {s1, PortNo{1}});
+  r.net->add_host(r.receiver, b2, {s2, PortNo{1}});
+  auto rule = [](DatapathId d, const of::Match& m, of::ActionList actions) {
+    of::FlowMod mod;
+    mod.dpid = d;
+    mod.match = m;
+    mod.priority = 100;
+    mod.actions = std::move(actions);
+    return of::Message{1, mod};
+  };
+  r.net->send_to_switch(rule(s2, of::Match{}.with_ip_dst(b), of::output_to(PortNo{2})));
+  r.net->send_to_switch(rule(s2, of::Match{}.with_ip_dst(b2), of::output_to(PortNo{1})));
+  r.net->send_to_switch(rule(s1, of::Match{}.with_ip_src(a).with_ip_dst(b),
+                             {of::ActionSetIpSrc{IpV4{a.addr ^ 1}},
+                              of::ActionSetIpDst{b2}, of::ActionOutput{PortNo{2}}}));
+  r.ingress = {s2, PortNo{2}};
+  r.pkt = packet_between(mac(0x0A0000000001ULL), r.receiver);
+  r.pkt.hdr.ip_src = a;
+  r.pkt.hdr.ip_dst = b;
+  return r;
+}
+
 /// Records every event it sees; emits nothing. Useful for dispatch tests.
 class RecorderApp : public ctl::App {
 public:

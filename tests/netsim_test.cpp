@@ -191,6 +191,55 @@ TEST(Forwarding, LoopIsDetected) {
   EXPECT_EQ(res.outcome, DeliveryResult::Outcome::kLooped);
 }
 
+// Regression: loop detection keyed visits by a 64-bit XOR of the header, so
+// a rewritten copy whose fields XOR to the same value as an earlier visit at
+// the same port was dropped as a loop. Visits are now compared field by
+// field.
+TEST(Forwarding, RewrittenCopyBackAtItsIngressIsNotALoop) {
+  auto r = legosdn::test::rewrite_echo();
+  const auto res = r.net->inject_at(r.ingress, r.pkt);
+  EXPECT_FALSE(res.looped);
+  EXPECT_EQ(res.outcome, DeliveryResult::Outcome::kDelivered);
+  ASSERT_EQ(res.delivered_to.size(), 1u);
+  EXPECT_EQ(res.delivered_to[0], r.receiver);
+  EXPECT_EQ(res.hops, 3u); // s2, s1, s2 again
+  EXPECT_EQ(r.net->totals().looped, 0u);
+}
+
+// A northbound callback that forwards again runs a walk inside a walk on
+// the same thread. Each must see exactly its own visits: an inner walk that
+// saw the outer one's would stop early, and an outer walk that lost its own
+// to the inner one would stop on the inner walk's keys.
+TEST(Forwarding, NestedWalkKeepsItsOwnVisitedSet) {
+  auto net = Network::linear(2, 1); // trunk: s1:3 <-> s2:2
+  const MacAddress dst = MacAddress::from_uint64(0x77);
+  net->send_to_switch({1, forward_rule(DatapathId{1}, dst, PortNo{3})});
+  of::FlowMod punt_and_back = forward_rule(DatapathId{2}, dst, PortNo{2});
+  punt_and_back.actions.insert(punt_and_back.actions.begin(),
+                               of::ActionOutput{ports::kController});
+  net->send_to_switch({2, punt_and_back});
+  DeliveryResult inner;
+  int punts = 0;
+  net->set_northbound([&](const of::Message& m) {
+    const auto* pin = m.get_if<of::PacketIn>();
+    if (!pin || punts++ > 0) return;
+    // Mid-walk, the controller sends the packet around the same cycle.
+    of::PacketOut po;
+    po.dpid = DatapathId{2};
+    po.in_port = PortNo{2};
+    po.packet = pin->packet;
+    po.actions = of::output_to(PortNo{2});
+    inner = net->send_to_switch({2, po});
+  });
+  const auto outer =
+      net->inject_from_host(net->hosts()[0].mac, packet_between(net->hosts()[0].mac, dst));
+  EXPECT_EQ(punts, 2);
+  EXPECT_TRUE(outer.looped);
+  EXPECT_EQ(outer.hops, 3u); // s1, s2, s1; s2 again is the loop
+  EXPECT_TRUE(inner.looped);
+  EXPECT_EQ(inner.hops, 2u); // s1, s2; s1 again is the loop
+}
+
 TEST(Forwarding, BufferedPacketOutResumesDelivery) {
   auto net = Network::linear(2, 1);
   std::vector<of::Message> northbound;
@@ -366,6 +415,60 @@ TEST(Failures, LinkStaysDownUntilBothEndpointsRevive) {
 // resumes included) never reached Totals, so the reactive forwarding path —
 // exactly what the differential fuzzer compares across architectures — was
 // invisible to delivery accounting.
+// Network::topology_generation() is the one number the checker's
+// reachability memo compares for everything a walk reads outside the flow
+// tables, so every such mutation must move it.
+TEST(Topology, GenerationMovesOnEveryWalkInput) {
+  auto net = Network::linear(3, 1); // trunks: s1:3 <-> s2:2, s2:3 <-> s3:2
+  std::uint64_t last = net->topology_generation();
+  auto moved = [&](const char* what) {
+    EXPECT_NE(net->topology_generation(), last) << what;
+    last = net->topology_generation();
+  };
+  auto unchanged = [&](const char* what) {
+    EXPECT_EQ(net->topology_generation(), last) << what;
+  };
+  const PortLocator trunk{DatapathId{2}, PortNo{3}};
+  net->set_link_state(trunk, false); // reconcile_link + emit_port_status
+  moved("link down");
+  net->set_link_state(trunk, false);
+  unchanged("link already down");
+  net->set_link_state(trunk, true);
+  moved("link up");
+  net->set_switch_state(DatapathId{3}, false);
+  moved("switch down");
+  // The link already went down with s3; operator intent alone is not read
+  // by any walk.
+  net->set_link_state(trunk, false);
+  unchanged("admin down of a link that is already down");
+  net->set_link_state(trunk, true);
+  unchanged("admin up of a link whose far end is dead");
+  net->set_switch_state(DatapathId{3}, true);
+  moved("switch up");
+  net->add_switch(DatapathId{9}, 2);
+  moved("add_switch");
+  net->add_link({DatapathId{9}, PortNo{1}}, {DatapathId{1}, PortNo{2}});
+  moved("add_link");
+  net->add_host(MacAddress::from_uint64(0x99), IpV4{0x0A000099}, {DatapathId{9}, PortNo{2}});
+  moved("add_host");
+  // Changes made on a switch directly, bypassing the network's setters.
+  SimSwitch& sw = *net->switch_at(DatapathId{2});
+  sw.set_up(false);
+  moved("SimSwitch::set_up");
+  sw.set_up(true);
+  moved("SimSwitch::set_up");
+  sw.add_port(PortNo{7});
+  moved("SimSwitch::add_port");
+  sw.cold_restart();
+  moved("SimSwitch::cold_restart");
+  // Flow tables have generations of their own; traffic and expiry-free
+  // flow-mods leave the topology alone.
+  net->send_to_switch({1, forward_rule(DatapathId{1}, net->hosts()[2].mac, PortNo{3})});
+  net->inject_from_host(net->hosts()[0].mac, host_packet(*net, 0, 2));
+  net->advance_time(std::chrono::seconds(1));
+  unchanged("flow-mod, traffic and time");
+}
+
 TEST(Counters, PacketOutResumeCountsInTotals) {
   auto net = Network::linear(1, 2); // one switch, hosts on ports 1 and 2
   std::vector<of::Message> nb;

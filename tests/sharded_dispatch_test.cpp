@@ -7,7 +7,8 @@
 // forwarding behaviour. LEGOSDN_SHARD_DIFF_SEEDS overrides the seed count
 // (default 50). The ShardedDispatcherOneCpu suite builds its dispatchers
 // pinned to one CPU (test::OneCpuScope), where idle lanes run batches on the
-// submitting thread.
+// submitting thread. ShardDifferential.VerifyingLanesMatchSerial runs
+// byzantine verification with must_reach pairs on two lanes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -891,6 +892,179 @@ TEST(ShardDifferential, TwoShardsAlsoConverge) {
   for (std::size_t i = 0; i < 8; ++i) {
     const std::uint64_t seed = kBaseSeed + 100 + i;
     expect_equal(run_scenario(seed, 1), run_scenario(seed, 2), seed);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Byzantine verification on shard lanes
+// ---------------------------------------------------------------------------
+
+constexpr std::uint16_t kDropTrigger = 6001; ///< tp_dst of a drop-rule packet-in
+constexpr std::uint16_t kHoleTrigger = 6002; ///< tp_dst of a black-hole packet-in
+
+/// Dpid-partitionable app whose every transaction is verified. A packet-in
+/// installs an exact-match rule at its own switch that punts, so no verdict
+/// depends on rules that other lanes wrote. Tagged packet-ins make it
+/// byzantine: kDropTrigger installs a top-priority drop for one must_reach
+/// destination (a reachability violation wherever that pair's path crosses
+/// the switch), and kHoleTrigger forwards into a port that does not exist.
+class VerifiedProbeApp : public ctl::App {
+public:
+  explicit VerifiedProbeApp(std::vector<MacAddress> targets)
+      : targets_(std::move(targets)) {}
+
+  std::string name() const override { return "verified-probe"; }
+  std::vector<ctl::EventType> subscriptions() const override {
+    return {ctl::EventType::kPacketIn};
+  }
+  ctl::AppPtr clone() const override {
+    return std::make_shared<VerifiedProbeApp>(targets_);
+  }
+
+  ctl::Disposition handle_event(const ctl::Event& e, ctl::ServiceApi& api) override {
+    const auto* pin = std::get_if<of::PacketIn>(&e);
+    if (!pin) return ctl::Disposition::kContinue;
+    seen_[raw(pin->dpid)] += 1;
+    of::FlowMod mod;
+    mod.dpid = pin->dpid;
+    switch (pin->packet.hdr.tp_dst) {
+      case kDropTrigger:
+        mod.match = of::Match{}.with_eth_dst(
+            targets_[pin->packet.trace_tag % targets_.size()]);
+        mod.priority = 0xF000;
+        break; // no actions: drop
+      case kHoleTrigger:
+        mod.match = of::Match::exact(pin->in_port, pin->packet.hdr);
+        mod.priority = 0x5000;
+        mod.actions = of::output_to(PortNo{0xEE00});
+        break;
+      default:
+        mod.match = of::Match::exact(pin->in_port, pin->packet.hdr);
+        mod.priority = 0x4000;
+        mod.actions = of::output_to(ports::kController);
+        break;
+    }
+    api.send({api.next_xid(), mod});
+    return ctl::Disposition::kContinue;
+  }
+
+  std::vector<std::uint8_t> snapshot_state() const override {
+    ByteWriter w;
+    w.u32(static_cast<std::uint32_t>(seen_.size()));
+    for (const auto& [dpid, n] : seen_) {
+      w.u64(dpid);
+      w.u64(n);
+    }
+    return std::move(w).take();
+  }
+  void restore_state(std::span<const std::uint8_t> state) override {
+    seen_.clear();
+    ByteReader r(state);
+    const std::uint32_t n = r.u32();
+    for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
+      const std::uint64_t dpid = r.u64();
+      seen_[dpid] = r.u64();
+    }
+  }
+  void reset() override { seen_.clear(); }
+
+private:
+  std::vector<MacAddress> targets_;
+  std::map<std::uint64_t, std::uint64_t> seen_;
+};
+
+struct VerifiedOutcome {
+  std::map<std::uint64_t, std::uint64_t> table_digests; ///< dpid -> logical
+  std::uint64_t byzantine_failures = 0;
+  std::uint64_t txns_rolled_back = 0;
+  std::uint64_t txns_committed = 0;
+  std::uint64_t recoveries = 0;
+  /// (offending event, crash info, policy) per ticket, sorted: lanes file
+  /// in their own order, and per-app sequence numbers differ by design.
+  std::vector<std::string> tickets;
+
+  bool operator==(const VerifiedOutcome&) const = default;
+};
+
+/// linear(6) with static eth_dst paths toward every host and four must_reach
+/// pairs across them, then a seeded packet-in stream in which about one
+/// event in five is byzantine. Returns what the run verified.
+VerifiedOutcome run_verified(std::uint64_t seed, std::size_t shards) {
+  constexpr std::size_t kSwitches = 6;
+  auto net = netsim::Network::linear(kSwitches, 1); // port 1 host, 2 left, 3 right
+  const auto& hosts = net->hosts();
+  std::uint32_t xid = 1;
+  for (std::size_t d = 0; d < kSwitches; ++d) {
+    for (std::size_t sw = 0; sw < kSwitches; ++sw) {
+      of::FlowMod path;
+      path.dpid = DatapathId{sw + 1};
+      path.match = of::Match{}.with_eth_dst(hosts[d].mac);
+      path.priority = 100;
+      path.actions = of::output_to(PortNo{static_cast<std::uint16_t>(
+          sw == d ? 1 : sw < d ? 3 : 2)});
+      net->send_to_switch({xid++, path});
+    }
+  }
+  LegoConfig cfg;
+  cfg.dispatch.shards = shards;
+  std::vector<MacAddress> targets;
+  for (const auto& [a, b] :
+       std::vector<std::pair<std::size_t, std::size_t>>{{0, 5}, {5, 0}, {1, 4}, {2, 3}}) {
+    cfg.invariants.must_reach.push_back({hosts[a].mac, hosts[b].mac});
+    targets.push_back(hosts[b].mac);
+  }
+  LegoController c(*net, cfg);
+  c.add_app(std::make_shared<VerifiedProbeApp>(targets));
+  EXPECT_TRUE(c.start_system());
+  c.run(); // switch announcements
+
+  Rng rng(seed);
+  for (std::uint64_t i = 0; i < 120; ++i) {
+    of::PacketIn pin;
+    pin.dpid = DatapathId{1 + rng.below(kSwitches)};
+    pin.in_port = PortNo{static_cast<std::uint16_t>(1 + rng.below(3))};
+    const std::uint64_t kind = rng.below(10);
+    const std::uint16_t tp = kind == 0 ? kDropTrigger : kind == 1 ? kHoleTrigger : 80;
+    pin.packet = packet_between(mac(0x1000 + i), mac(0x2000 + rng.below(8)), tp, i);
+    c.inject_event(ctl::Event{pin});
+  }
+  while (c.run() > 0) {
+  }
+
+  VerifiedOutcome out;
+  for (DatapathId d : net->switch_ids())
+    out.table_digests[raw(d)] = net->switch_at(d)->table().logical_digest();
+  const auto ls = c.lego_stats();
+  out.byzantine_failures = ls.byzantine_failures;
+  out.txns_rolled_back = ls.txns_rolled_back;
+  out.txns_committed = ls.txns_committed;
+  out.recoveries = ls.recoveries;
+  for (const auto& t : c.tickets().all())
+    out.tickets.push_back(t.offending_event + " | " + t.crash_info + " | " + t.policy_applied);
+  std::sort(out.tickets.begin(), out.tickets.end());
+  return out;
+}
+
+// Verifying transactions run on the lanes, each under the exclusive side of
+// the transaction lock: the reachability memo is shared by both lanes, and
+// every trace borrows its lane thread's scratch. The verdicts do not depend
+// on the interleaving by construction (every byzantine rule is judged
+// against the same static paths), so the sharded run must match the serial
+// one exactly. scripts/verify.sh tsan runs this suite.
+TEST(ShardDifferential, VerifyingLanesMatchSerial) {
+  for (std::uint64_t seed = kBaseSeed + 200; seed < kBaseSeed + 204; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const VerifiedOutcome serial = run_verified(seed, 1);
+    const VerifiedOutcome sharded = run_verified(seed, 2);
+    EXPECT_GT(serial.byzantine_failures, 0u);
+    EXPECT_GT(serial.txns_committed, serial.byzantine_failures);
+    EXPECT_EQ(serial.tickets.size(), serial.byzantine_failures);
+    EXPECT_EQ(serial.table_digests, sharded.table_digests);
+    EXPECT_EQ(serial.byzantine_failures, sharded.byzantine_failures);
+    EXPECT_EQ(serial.txns_rolled_back, sharded.txns_rolled_back);
+    EXPECT_EQ(serial.txns_committed, sharded.txns_committed);
+    EXPECT_EQ(serial.recoveries, sharded.recoveries);
+    EXPECT_EQ(serial.tickets, sharded.tickets);
   }
 }
 
